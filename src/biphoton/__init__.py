@@ -5,7 +5,6 @@ amplitudes), schmidt (entanglement and heralding metrics), gvm_design
 (group-velocity-matched sources), assembly (segmented crystal stacks).
 """
 
-from . import _backend
 from .assembly import (
     AssemblyConfig,
     AssemblyDesign,

@@ -13,20 +13,22 @@ crystal's, which symmetrizes the central ridge and steers its slope to +1.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import _backend
 from .constants import C_UM_PS, GAMMA_SINC2, omega_from_lambda
 from .errors import ConfigError, NoOppositeSign, ZeroMismatch
-from .jsa import CrystalConfig, FrequencyGrid, _normalized, pump_envelope
-from .materials import (
-    DEFAULT_ROLES,
-    RaySpec,
-    inverse_group_velocity,
-    phasematching_angle,
-    wavenumber,
+from .jsa import (
+    CrystalConfig,
+    FrequencyGrid,
+    _normalized,
+    forward_mismatch,
+    mismatch_on_grid,
+    phasematching,
+    pump_envelope,
 )
+from .materials import DEFAULT_ROLES, RaySpec, inverse_group_velocity, phasematching_angle
 
 
 def upsilon(n_crystals, x):
@@ -69,52 +71,37 @@ class AssemblyConfig:
         return self.spacer_roles if self.spacer_roles is not None else self.crystal.roles
 
 
-def _forward_mismatch(material, theta, roles, omega0, nu_s, nu_i):
-    """D = k_s + k_i - k_p at the given detunings."""
-    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + nu_s)
-    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + nu_i)
-    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + nu_s + nu_i)
-    return ks + ki - kp
+def _stack_phasematching(cfg, mismatch):
+    """Single-crystal sinc times the exact N-period geometric sum.
+
+    mismatch(material, theta, roles) returns D = k_s + k_i - k_p on the
+    caller's points, a grid or arbitrary detunings.
+    """
+    cr = cfg.crystal
+    dc = mismatch(cr.material, cr.theta, cr.roles)
+    single = phasematching(dc, cr.length_um)
+    n = cfg.n_crystals
+    if n == 1:
+        return single
+    dsp = mismatch(cfg.spacer_material, cfg.spacer_theta, cfg.roles_in_spacer())
+    phi = cr.length_um * dc + cfg.spacer_h_um * dsp
+    return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
 
 
 def assembly_phasematching(cfg, nu_s, nu_i):
     """Complex N-crystal phasematching at arbitrary detunings, full dispersion."""
-    cr = cfg.crystal
-    vs = np.asarray(nu_s, dtype=float)
-    vi = np.asarray(nu_i, dtype=float)
-    dc = _forward_mismatch(cr.material, cr.theta, cr.roles, cr.omega0, vs, vi)
-    x = 0.5 * cr.length_um * dc
-    single = np.sinc(x / np.pi) * np.exp(1j * x)
-    if cfg.n_crystals == 1:
-        return single
-    dsp = _forward_mismatch(
-        cfg.spacer_material, cfg.spacer_theta, cfg.roles_in_spacer(), cr.omega0, vs, vi
-    )
-    phi = cr.length_um * dc + cfg.spacer_h_um * dsp
-    geom = cfg.n_crystals * upsilon(cfg.n_crystals, 0.5 * phi)
-    return geom * np.exp(0.5j * (cfg.n_crystals - 1) * phi) * single
+    mismatch = partial(forward_mismatch, omega0=cfg.crystal.omega0, nu_s=nu_s, nu_i=nu_i)
+    return _stack_phasematching(cfg, mismatch)
 
 
 def assembly_jsa_grid(pump, cfg, grid):
-    """Normalized assembly joint amplitude on a square grid (kernel path)."""
-    cr = cfg.crystal
-    if abs(pump.omega_p0 - 2.0 * cr.omega0) > 1e-9 * pump.omega_p0:
+    """Normalized assembly joint amplitude on a square grid."""
+    if abs(pump.omega_p0 - 2.0 * cfg.crystal.omega0) > 1e-9 * pump.omega_p0:
         raise ConfigError("pump carrier must be twice the downconversion carrier")
+    mismatch = partial(mismatch_on_grid, omega0=cfg.crystal.omega0, grid=grid)
+    values = _stack_phasematching(cfg, mismatch)
     nu = grid.axis()
-    n = grid.n
-    w0 = cr.omega0
-    nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
-    ks = wavenumber(cr.material, RaySpec(cr.roles.signal, cr.theta), w0 + nu)
-    ki = wavenumber(cr.material, RaySpec(cr.roles.idler, cr.theta), w0 + nu)
-    kp = wavenumber(cr.material, RaySpec(cr.roles.pump, cr.theta), 2 * w0 + nu_sum)
-    sr = cfg.roles_in_spacer()
-    qs = wavenumber(cfg.spacer_material, RaySpec(sr.signal, cfg.spacer_theta), w0 + nu)
-    qi = wavenumber(cfg.spacer_material, RaySpec(sr.idler, cfg.spacer_theta), w0 + nu)
-    qp = wavenumber(cfg.spacer_material, RaySpec(sr.pump, cfg.spacer_theta), 2 * w0 + nu_sum)
-    phi = _backend.assembly_kernel(
-        kp, ks, ki, qp, qs, qi, cr.length_um, cfg.spacer_h_um, cfg.n_crystals
-    )
-    values = phi * pump_envelope(pump, nu[:, None] + nu[None, :])
+    values *= pump_envelope(pump, nu[:, None] + nu[None, :])
     return _normalized(grid, values)
 
 
@@ -159,7 +146,7 @@ def quantize_spacer(spacer_material, lambda_um, m_integer, theta=np.pi / 2, role
     if int(m_integer) < 1:
         raise ConfigError("m must be a positive integer")
     w0 = omega_from_lambda(lambda_um)
-    dk0 = -_forward_mismatch(spacer_material, theta, roles, w0, 0.0, 0.0)
+    dk0 = -forward_mismatch(spacer_material, theta, roles, w0, 0.0, 0.0)
     if abs(dk0) < 1e-9:
         raise ZeroMismatch("spacer carrier mismatch vanishes; nothing to quantize")
     h_min = 2.0 * np.pi / abs(dk0)

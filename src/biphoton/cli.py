@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _backend
 from .assembly import (
     assembly_config_from_design,
     assembly_jsa_grid,
@@ -48,6 +47,7 @@ from .jsa import (
     JointAmplitude,
     PumpConfig,
     TaylorCoefficients,
+    _normalized,
     angle_matched_crystal,
     default_grid,
     gaussian_model,
@@ -112,6 +112,16 @@ def _dumps(obj):
 
 def _emit(obj):
     sys.stdout.write(_dumps(obj))
+
+
+def _out_dir(path):
+    """Create the export directory; a path through a regular file is bad input."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return out
 
 
 def _write_json(path, obj):
@@ -316,8 +326,7 @@ def _cmd_analyze(args):
         },
     }
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out_dir)
         write_bjsa(ja, out / "jsa.bjsa")
         write_csv(ja, out / "jsa.csv")
         _write_intensity_csv(
@@ -366,8 +375,8 @@ def _cmd_schmidt(args):
     _require(args, "infile")
     ja = _load_amplitude(args.infile)
     filt = _build_filter(args)
-    spectrum = schmidt_decompose(ja)
     metrics = herald_metrics(ja, filt)
+    spectrum = metrics.spectrum
     lambdas = spectrum.lambdas[: max(1, args.max_modes)]
     if args.modes_csv:
         _write_modes_csv(args.modes_csv, ja.grid, spectrum, args.n_modes)
@@ -477,8 +486,7 @@ def _cmd_design_assembly(args):
         "design": asdict(design),
     }
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out_dir)
         cfg = assembly_config_from_design(design, crystal_material, spacer_material)
         pump = PumpConfig(
             omega_p0=2.0 * cfg.crystal.omega0, sigma=design.sigma_pump_rad_ps
@@ -645,12 +653,9 @@ def _repro_properties():
         pump = PumpConfig(omega_p0=2.0 * omega_from_lambda(0.8), sigma=sigma)
         grid = default_grid(pump, coeffs, n=128)
         nu = grid.axis()
-        vals = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
-        norm = np.sqrt(np.sum(np.abs(vals) ** 2)) * grid.spacing
-        ja = JointAmplitude(grid, vals / norm)
-        spectrum = schmidt_decompose(ja)
+        ja = _normalized(grid, gaussian_model(pump, coeffs, nu[:, None], nu[None, :]))
         m = herald_metrics(ja)
-        worst_sum = max(worst_sum, abs(float(spectrum.lambdas.sum()) - 1.0))
+        worst_sum = max(worst_sum, abs(float(m.spectrum.lambdas.sum()) - 1.0))
         worst_pk = max(worst_pk, abs(m.purity * m.cooperativity_K - 1.0))
     checks.append(_check("sum_lambda_dev", worst_sum, None, upper=1e-9))
     checks.append(_check("purity_times_K_dev", worst_pk, None, upper=1e-6))
@@ -667,9 +672,7 @@ def _repro_properties():
         nu = grid.axis()
         vp = (nu[:, None] + nu[None, :]) ** 2 / (4.0 * a**2)
         vm = (nu[:, None] - nu[None, :]) ** 2 / (4.0 * b**2)
-        vals = np.exp(-vp - vm) + 0.0j
-        norm = np.sqrt(np.sum(np.abs(vals) ** 2)) * grid.spacing
-        spectrum = schmidt_decompose(JointAmplitude(grid, vals / norm))
+        spectrum = schmidt_decompose(_normalized(grid, np.exp(-vp - vm) + 0.0j))
         mu = ((a - b) / (a + b)) ** 2
         analytic = (1.0 - mu) * mu ** np.arange(spectrum.lambdas.size)
         worst = max(worst, float(np.max(np.abs(spectrum.lambdas - analytic))))
@@ -724,10 +727,7 @@ def _repro_properties():
 
     def jti_corr(p):
         vals = gaussian_model(p, chirp_coeffs, nu[:, None], nu[None, :])
-        norm = np.sqrt(np.sum(np.abs(vals) ** 2)) * grid.spacing
-        return intensity_correlation(
-            joint_temporal_intensity(JointAmplitude(grid, vals / norm))
-        )
+        return intensity_correlation(joint_temporal_intensity(_normalized(grid, vals)))
 
     corr_plain = jti_corr(plain)
     corr_star = jti_corr(star)
@@ -787,9 +787,7 @@ def acceptance_criteria():
 
 def _cmd_paper_repro(args):
     _require(args, "out_dir")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _backend.warmup()
+    out = _out_dir(args.out_dir)
     rows = []
     for name, fname, budget, fn in acceptance_criteria():
         result = _criterion(name, budget, fn)

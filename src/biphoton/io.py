@@ -52,7 +52,10 @@ def write_csv(ja, path):
     g = ja.grid
     nu = g.axis()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# omega0_rad_ps={g.omega0!r} half_span_rad_ps={g.half_span!r} n={g.n}\n")
+        fh.write(
+            f"# omega0_rad_ps={float(g.omega0)!r} half_span_rad_ps={float(g.half_span)!r}"
+            f" n={g.n}\n"
+        )
         fh.write("nu_s,nu_i,re_f,im_f\n")
         for j in range(g.n):
             row = ja.values[j]
@@ -63,18 +66,23 @@ def write_csv(ja, path):
 
 def read_csv(path):
     omega0 = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            for tok in first[1:].split():
-                if tok.startswith("omega0_rad_ps="):
-                    omega0 = float(tok.split("=", 1)[1])
-            header = fh.readline()
-        else:
-            header = first
-        if not header.lower().lstrip().startswith("nu_s"):
-            raise ConfigError("CSV missing nu_s,nu_i,re_f,im_f header")
-        data = np.loadtxt(fh, delimiter=",", dtype=float)
+    # a non-numeric cell or header value, a ragged row, or bytes that are not
+    # UTF-8 all surface as ValueError
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if first.startswith("#"):
+                for tok in first[1:].split():
+                    if tok.startswith("omega0_rad_ps="):
+                        omega0 = float(tok.split("=", 1)[1])
+                header = fh.readline()
+            else:
+                header = first
+            if not header.lower().lstrip().startswith("nu_s"):
+                raise ConfigError("CSV missing nu_s,nu_i,re_f,im_f header")
+            data = np.loadtxt(fh, delimiter=",", dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"malformed CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 4:
         raise ConfigError("CSV must have exactly four columns")
     nu_s = np.unique(data[:, 0])

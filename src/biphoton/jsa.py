@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda
 from .errors import BadDomain, ConfigError, DegenerateGrid
 from .materials import (
@@ -141,8 +140,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ConfigError("grid n must be a power of two, at least 32")
-        if self.half_span <= 0:
-            raise ConfigError("grid half_span must be positive")
+        if not (np.isfinite(self.half_span) and self.half_span > 0):
+            raise ConfigError("grid half_span must be positive and finite")
 
     @property
     def spacing(self):
@@ -198,22 +197,47 @@ def _grating_shift(crystal):
     return np.sign(raw) * 2.0 * np.pi / crystal.qpm_period_um
 
 
+def forward_mismatch(material, theta, roles, omega0, nu_s, nu_i, grating=0.0):
+    """D = k_s + k_i - (k_p - grating) at arbitrary detunings."""
+    vs = np.asarray(nu_s, dtype=float)
+    vi = np.asarray(nu_i, dtype=float)
+    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + vs)
+    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + vi)
+    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + vs + vi)
+    return ks + ki - (kp - grating)
+
+
+def mismatch_on_grid(material, theta, roles, omega0, grid, grating=0.0):
+    """D = k_s + k_i - (k_p - grating) on the n x n grid, rows nu_s.
+
+    k_p is sampled once on the 2n-1 detuning sums (m - n) dnu and read back
+    at index j + k, so each wavenumber costs O(n) evaluations.
+    """
+    n = grid.n
+    nu = grid.axis()
+    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + nu)
+    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + nu)
+    nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
+    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + nu_sum) - grating
+    idx = np.arange(n)
+    return ks[:, None] + ki[None, :] - kp[idx[:, None] + idx[None, :]]
+
+
+def phasematching(mismatch, length):
+    """Complex sinc phasematching sinc(x) e^{ix}, x = L D / 2, for D = k_s + k_i - k_p."""
+    x = 0.5 * length * mismatch
+    return np.sinc(x / np.pi) * np.exp(1j * x)
+
+
 def phasematching_sinc(crystal, nu_s, nu_i):
     """Complex single-crystal phasematching, full dispersion, any points.
 
     Returns sinc(L delta_k/2) exp(-i L delta_k/2) with delta_k = k_p - k_s - k_i
     reduced by the grating vector when the crystal is poled.
     """
-    m, th = crystal.material, crystal.theta
-    w0, roles = crystal.omega0, crystal.roles
-    vs = np.asarray(nu_s, dtype=float)
-    vi = np.asarray(nu_i, dtype=float)
-    ks = wavenumber(m, RaySpec(roles.signal, th), w0 + vs)
-    ki = wavenumber(m, RaySpec(roles.idler, th), w0 + vi)
-    kp = wavenumber(m, RaySpec(roles.pump, th), 2 * w0 + vs + vi)
-    d = ks + ki - (kp - _grating_shift(crystal))
-    x = 0.5 * crystal.length_um * d
-    return np.sinc(x / np.pi) * np.exp(1j * x)
+    m, th, roles, w0 = crystal.material, crystal.theta, crystal.roles, crystal.omega0
+    d = forward_mismatch(m, th, roles, w0, nu_s, nu_i, _grating_shift(crystal))
+    return phasematching(d, crystal.length_um)
 
 
 def gaussian_model(pump, coeffs, nu_s, nu_i):
@@ -254,27 +278,13 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
         )
     nu = grid.axis()
     if model == "gaussian":
-        # the kernel carries the pump factor of the Gaussian model already
-        values = _backend.gaussian_model_kernel(
-            nu,
-            pump.sigma,
-            pump.beta_t,
-            coeffs.tau_s,
-            coeffs.tau_i,
-            coeffs.beta_s,
-            coeffs.beta_i,
-            coeffs.beta_p,
-        )
+        # the Gaussian model carries the pump factor already
+        values = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
     elif model == "full_sinc":
-        m, th = crystal.material, crystal.theta
-        w0, roles = crystal.omega0, crystal.roles
-        n = grid.n
-        ks = wavenumber(m, RaySpec(roles.signal, th), w0 + nu)
-        ki = wavenumber(m, RaySpec(roles.idler, th), w0 + nu)
-        nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
-        kp = wavenumber(m, RaySpec(roles.pump, th), 2 * w0 + nu_sum) - _grating_shift(crystal)
-        phi = _backend.phasematching_kernel(kp, ks, ki, crystal.length_um)
-        values = phi * pump_envelope(pump, nu[:, None] + nu[None, :])
+        m, th, roles, w0 = crystal.material, crystal.theta, crystal.roles, crystal.omega0
+        d = mismatch_on_grid(m, th, roles, w0, grid, _grating_shift(crystal))
+        values = phasematching(d, crystal.length_um)
+        values *= pump_envelope(pump, nu[:, None] + nu[None, :])
     else:
         raise ConfigError(f"unknown model {model!r}")
     return _normalized(grid, values)

@@ -129,10 +129,13 @@ def purity(rho):
 
 @dataclass(frozen=True)
 class HeraldMetrics:
+    """Heralding figures plus the Schmidt spectrum K and S were computed from."""
+
     purity: float
     cooperativity_K: float
     entropy_S: float
     herald_rate: float
+    spectrum: SchmidtSpectrum
 
 
 def herald_metrics(ja, filt=None):
@@ -144,4 +147,5 @@ def herald_metrics(ja, filt=None):
         cooperativity_K=cooperativity(spectrum),
         entropy_S=entropy(spectrum),
         herald_rate=rate,
+        spectrum=spectrum,
     )

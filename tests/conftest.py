@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import _backend
 from biphoton.jsa import PumpConfig
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _compiled_kernels():
-    # pay the JIT cost once so per-test budgets measure steady-state work
-    _backend.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 import biphoton as bp
 from biphoton.assembly import (
     AssemblyConfig,
+    _stack_phasematching,
     assembly_config_from_design,
     assembly_jsa_grid,
     assembly_phasematching,
@@ -19,7 +20,7 @@ from biphoton.assembly import (
     ridge_slope,
     upsilon,
 )
-from biphoton.jsa import FrequencyGrid, JointAmplitude, PumpConfig, pump_envelope
+from biphoton.jsa import CrystalConfig, FrequencyGrid, JointAmplitude, PumpConfig, pump_envelope
 from biphoton.materials import DispersionModel, Sellmeier, inverse_group_velocity, RaySpec
 from biphoton.schmidt import cooperativity, schmidt_decompose
 
@@ -93,6 +94,20 @@ def test_single_crystal_stack_ignores_spacer(db, stack_design):
     # and the single-crystal factor is the complex sinc with unit peak
     # (up to the angle solver's carrier-mismatch residual times L/2)
     assert abs(assembly_phasematching(cfg_one, 0.0, 0.0) - 1.0) < 1e-6
+
+
+def test_full_turn_per_period_gives_plus_n(db):
+    # a full 2 pi turn per period is the comb peak: the Dirichlet sign and the
+    # accumulated phase factor cancel, leaving +N regardless of parity
+    crystal = CrystalConfig(db["BBO"], 123.0, 0.5, bp.omega_from_lambda(LAMBDA0))
+
+    def mismatch(material, theta, roles):
+        # zero mismatch in the crystal, 1 rad/um in the spacer
+        return np.full((8, 8), 0.0 if material is db["BBO"] else 1.0)
+
+    for n in (2, 3, 10):
+        cfg = AssemblyConfig(crystal, db["CALCITE"], 2.0 * np.pi, n)
+        assert np.allclose(_stack_phasematching(cfg, mismatch), float(n), rtol=1e-12, atol=1e-12)
 
 
 def test_stack_amplitude_bounded_by_n_with_equality_at_center(db, stack_design):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,35 @@ def test_missing_input_grid_exits_2(tmp_path):
     doc = parse_error(proc, 2)
     assert doc["error"] == "ConfigError"
     assert "not found" in doc["message"]
+
+
+def test_non_numeric_csv_cell_exits_2(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("nu_s,nu_i,re_f,im_f\n1,2,abc,4\n")
+    doc = parse_error(run_cli("schmidt", "--in", str(bad)), 2)
+    assert doc["error"] == "ConfigError"
+    assert "malformed CSV" in doc["message"]
+
+
+def test_non_finite_grid_span_exits_2(tmp_path):
+    n = 32
+    path = tmp_path / "nan.bjsa"
+    head = struct.pack("<4sH3d", b"BJSA", 1, float(n), bp.omega_from_lambda(0.83), float("nan"))
+    path.write_bytes(head + np.ones(n * n, dtype="<c16").tobytes())
+    doc = parse_error(run_cli("schmidt", "--in", str(path)), 2)
+    assert doc["error"] == "ConfigError"
+    assert "half_span" in doc["message"]
+
+
+def test_out_dir_under_a_file_exits_2(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assembly = "design-assembly --crystal BBO --spacer CALCITE --lambda-nm 800 --n-crystals 10 --m 10"
+    out = ["--out-dir", str(afile / "sub")]
+    for argv in ([*ANALYZE_KDP, *out], [*assembly.split(), *out], ["paper-repro", *out]):
+        doc = parse_error(run_cli(*argv), 2)
+        assert doc["error"] == "ConfigError"
+        assert "output directory" in doc["message"]
 
 
 def test_bad_config_file_exits_2(tmp_path):

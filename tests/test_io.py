@@ -41,6 +41,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, ja.values)
 
 
+def test_csv_header_fields_are_numeric(tmp_path):
+    ja = _sample_amplitude(n=32)
+    assert isinstance(ja.grid.half_span, np.floating)
+    path = tmp_path / "amp.csv"
+    io.write_csv(ja, path)
+    fields = path.read_text().splitlines()[0].lstrip("#").split()
+    assert [f.split("=", 1)[0] for f in fields] == ["omega0_rad_ps", "half_span_rad_ps", "n"]
+    for field in fields:
+        float(field.split("=", 1)[1])
+
+
 def test_writers_refuse_temporal_domain(tmp_path):
     jti = joint_temporal_intensity(_sample_amplitude())
     with pytest.raises(bp.ConfigError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, phasematching_sinc
+from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, phasematching, phasematching_sinc
 
 
 def test_sigma_from_fwhm_conversion():
@@ -76,6 +76,25 @@ def test_phasematching_argument_linear_in_length(db):
     assert abs(arg_at(8000.0) / arg_at(4000.0) - 2.0) < 1e-9
 
 
+def test_phasematching_zero_mismatch_is_exactly_one():
+    assert np.all(phasematching(np.zeros((8, 8)), 123.0) == 1.0)
+
+
+def test_jsa_grid_matches_pointwise_path(db, kdp_source):
+    kdp, kdp_pump, _ = kdp_source
+    ktp = bp.qpm_matched_crystal(db["KTP"], 1.566, 20000.0)
+    ktp_pump = PumpConfig(omega_p0=2.0 * ktp.omega0, sigma=bp.sigma_from_fwhm_nm(1.5, 0.783))
+    for crystal, pump in ((kdp, kdp_pump), (ktp, ktp_pump)):
+        grid = bp.default_grid(pump, bp.taylor_coefficients(crystal), n=128)
+        nu = grid.axis()
+        direct = phasematching_sinc(crystal, nu[:, None], nu[None, :])
+        direct *= bp.pump_envelope(pump, nu[:, None] + nu[None, :])
+        direct /= np.sqrt(np.sum(np.abs(direct) ** 2)) * grid.spacing
+        # the grid path sums the pump detuning as (j + k - n) dnu, the
+        # pointwise path as nu_j + nu_k; the ulp noise passes through exp(i L D / 2)
+        assert np.max(np.abs(direct - bp.jsa_grid(pump, crystal, grid).values)) < 1e-9
+
+
 def test_jsa_grid_is_normalized(kdp_source):
     crystal, pump, coeffs = kdp_source
     grid = bp.default_grid(pump, coeffs, n=128)
@@ -135,8 +154,9 @@ def test_grid_validation():
         bp.FrequencyGrid(omega0=w0, half_span=10.0, n=48)
     with pytest.raises(bp.ConfigError):
         bp.FrequencyGrid(omega0=w0, half_span=10.0, n=16)
-    with pytest.raises(bp.ConfigError):
-        bp.FrequencyGrid(omega0=w0, half_span=-1.0, n=64)
+    for half_span in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(bp.ConfigError):
+            bp.FrequencyGrid(omega0=w0, half_span=half_span, n=64)
 
 
 def test_degenerate_grid_rejected(kdp_source):

@@ -160,6 +160,7 @@ def test_idler_filter_raises_kdp_purity(kdp_jsa):
 def test_herald_metrics_consistency(kdp_jsa):
     m = herald_metrics(kdp_jsa)
     spec = schmidt_decompose(kdp_jsa)
+    assert np.array_equal(m.spectrum.lambdas, spec.lambdas)
     assert abs(m.cooperativity_K - cooperativity(spec)) < 1e-12
     assert abs(m.entropy_S - entropy(spec)) < 1e-12
     assert abs(m.purity - 1.0 / m.cooperativity_K) < 1e-10
