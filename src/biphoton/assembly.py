@@ -23,12 +23,11 @@ from .jsa import (
     CrystalConfig,
     FrequencyGrid,
     _normalized,
-    forward_mismatch,
     mismatch_on_grid,
     phasematching,
     pump_envelope,
 )
-from .materials import DEFAULT_ROLES, RaySpec, inverse_group_velocity, phasematching_angle
+from .materials import DEFAULT_ROLES, forward_mismatch, group_delays, phasematching_angle
 
 
 def upsilon(n_crystals, x):
@@ -107,9 +106,7 @@ def assembly_jsa_grid(pump, cfg, grid):
 
 def _unit_mismatch_sums(material, theta, roles, omega0):
     """(k_s' + k_i' - 2 k_p', k_p' - k_s', k_p' - k_i') per unit length."""
-    kp1 = inverse_group_velocity(material, RaySpec(roles.pump, theta), 2 * omega0)
-    ks1 = inverse_group_velocity(material, RaySpec(roles.signal, theta), omega0)
-    ki1 = inverse_group_velocity(material, RaySpec(roles.idler, theta), omega0)
+    kp1, ks1, ki1 = group_delays(material, theta, roles, omega0)
     return ks1 + ki1 - 2 * kp1, kp1 - ks1, kp1 - ki1
 
 

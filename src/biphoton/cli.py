@@ -507,25 +507,13 @@ def _cmd_design_assembly(args):
 def _check(label, value, target, rel=None, abs_tol=None, upper=None):
     """One table row: band checks use rel/abs tolerances, bounds use upper."""
     if upper is not None:
-        ok = value < upper
-        return {"label": label, "value": value, "bound": upper, "pass": bool(ok)}
+        return {"label": label, "value": value, "bound": upper, "pass": bool(value < upper)}
+    row = {"label": label, "value": value, "target": target}
     if rel is not None:
-        ok = abs(value - target) <= rel * abs(target)
-        return {
-            "label": label,
-            "value": value,
-            "target": target,
-            "rel_tol": rel,
-            "pass": bool(ok),
-        }
-    ok = abs(value - target) <= abs_tol
-    return {
-        "label": label,
-        "value": value,
-        "target": target,
-        "abs_tol": abs_tol,
-        "pass": bool(ok),
-    }
+        row["rel_tol"], ok = rel, abs(value - target) <= rel * abs(target)
+    else:
+        row["abs_tol"], ok = abs_tol, abs(value - target) <= abs_tol
+    return {**row, "pass": bool(ok)}
 
 
 def _criterion(name, budget_s, fn):
@@ -832,22 +820,10 @@ def main(argv=None):
     try:
         _apply_config_file(args)
         report = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 2
-    except SolverError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 3
+    except (ConfigError, SolverError) as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        return 2 if isinstance(exc, ConfigError) else 3
     _emit(report)
     return 0
 

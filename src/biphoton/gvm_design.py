@@ -14,10 +14,9 @@ become available and quantify how factorable the result is.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import GAMMA_SINC, omega_from_lambda, sigma_from_fwhm_nm
-from .errors import NoPhasematch, NotAsymmetric
+from .errors import ConfigError, NotAsymmetric
 from .jsa import (
     PumpConfig,
     angle_matched_crystal,
@@ -25,12 +24,7 @@ from .jsa import (
     qpm_matched_crystal,
     taylor_coefficients,
 )
-from .materials import (
-    DEFAULT_ROLES,
-    RaySpec,
-    inverse_group_velocity,
-    phasematching_angle,
-)
+from .materials import DEFAULT_ROLES, find_root, group_delays, phasematching_angle
 
 
 @dataclass(frozen=True)
@@ -92,64 +86,50 @@ def solve_pump_bandwidth(crystal):
 
 
 def _mismatch_curves(material, scheme, roles, lambdas):
-    """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p' on a scan.
+    """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p', elementwise.
 
     Entries are NaN where no phasematching angle exists.
     """
-    gs = np.full(lambdas.shape, np.nan)
-    gi = np.full(lambdas.shape, np.nan)
-    for j, lam in enumerate(lambdas):
-        try:
-            theta = (
-                phasematching_angle(material, lam, roles)
-                if scheme == "angle"
-                else np.pi / 2
-            )
-        except NoPhasematch:
-            continue
-        w0 = omega_from_lambda(lam)
-        kp1 = inverse_group_velocity(material, RaySpec(roles.pump, theta), 2 * w0)
-        gs[j] = inverse_group_velocity(material, RaySpec(roles.signal, theta), w0) - kp1
-        gi[j] = inverse_group_velocity(material, RaySpec(roles.idler, theta), w0) - kp1
-    return gs, gi
+    theta = phasematching_angle(material, lambdas, roles) if scheme == "angle" else np.pi / 2
+    ok = ~np.isnan(theta)
+    w0 = omega_from_lambda(lambdas)
+    kp, ks, ki = group_delays(material, np.where(ok, theta, np.pi / 2), roles, w0)
+    return np.where(ok, ks - kp, np.nan), np.where(ok, ki - kp, np.nan)
 
 
-def _scan_window(material, window):
+def _scan(material, scheme, roles, window, npts):
+    """Wavelengths spanning the window, with the mismatch curves on them.
+
+    The window is clipped to 2% inside the range where both the pair and the
+    pump wavelengths are valid.
+    """
     lo, hi = material.valid_range
-    lo = max(2.0 * lo * 1.02, lo * 1.02)
-    hi = hi * 0.98
+    lo, hi = max(2.0 * lo * 1.02, lo * 1.02), hi * 0.98
     if window is not None:
+        if not np.all(np.isfinite(window)):
+            raise ConfigError(f"scan window {window} is not finite")
         lo, hi = max(lo, window[0]), min(hi, window[1])
-    return lo, hi
+    if not lo < hi:
+        raise ConfigError(f"empty scan window [{lo}, {hi}] um for {material.material_id}")
+    lambdas = np.linspace(lo, hi, npts)
+    return (lambdas, *_mismatch_curves(material, scheme, roles, lambdas))
 
 
 def _refine_root(material, scheme, roles, fn, a, b):
-    def f(lam):
-        gs, gi = _mismatch_curves(material, scheme, roles, np.array([lam]))
-        return fn(gs[0], gi[0])
-
-    return brentq(f, a, b, xtol=1e-12)
+    """Roots of fn(g_s, g_i) in the wavelength brackets [a, b]."""
+    return find_root(lambda lam: fn(*_mismatch_curves(material, scheme, roles, lam)), a, b)
 
 
 def gvm_wavelength_search(material, scheme="angle", roles=DEFAULT_ROLES, window=None, npts=64):
     """Degenerate wavelength where the pair group velocities straddle the
     pump symmetrically: k_s' + k_i' = 2 k_p'. None when no root exists."""
-    lo, hi = _scan_window(material, window)
-    lambdas = np.linspace(lo, hi, npts)
-    gs, gi = _mismatch_curves(material, scheme, roles, lambdas)
+    lambdas, gs, gi = _scan(material, scheme, roles, window, npts)
     s = gs + gi
-    for j in range(npts - 1):
-        if np.isnan(s[j]) or np.isnan(s[j + 1]):
-            continue
-        if s[j] == 0.0:
-            return float(lambdas[j])
-        if s[j] * s[j + 1] < 0:
-            return float(
-                _refine_root(
-                    material, scheme, roles, lambda a, b: a + b, lambdas[j], lambdas[j + 1]
-                )
-            )
-    return None
+    hits = np.flatnonzero(s[:-1] * s[1:] <= 0)
+    if not hits.size:
+        return None
+    j = hits[0]
+    return float(_refine_root(material, scheme, roles, np.add, lambdas[j], lambdas[j + 1]))
 
 
 def decorrelation_range(material, scheme="angle", roles=DEFAULT_ROLES, window=None, npts=64):
@@ -158,32 +138,29 @@ def decorrelation_range(material, scheme="angle", roles=DEFAULT_ROLES, window=No
     Endpoints are the zeros of the individual mismatches. Returns the widest
     such interval inside the scan window, or None.
     """
-    lo, hi = _scan_window(material, window)
-    lambdas = np.linspace(lo, hi, npts)
-    gs, gi = _mismatch_curves(material, scheme, roles, lambdas)
+    lambdas, gs, gi = _scan(material, scheme, roles, window, npts)
     prod = gs * gi
-    best = None
-    j = 0
-    while j < npts:
-        if not (np.isfinite(prod[j]) and prod[j] < 0):
-            j += 1
-            continue
-        start = j
-        while j < npts and np.isfinite(prod[j]) and prod[j] < 0:
-            j += 1
-        end = j - 1
-        a = lambdas[start]
-        b = lambdas[end]
-        # refine each endpoint on whichever curve crosses zero there
-        if start > 0 and np.isfinite(prod[start - 1]):
-            which = (lambda x, y: x) if gs[start - 1] * gs[start] < 0 else (lambda x, y: y)
-            a = _refine_root(material, scheme, roles, which, lambdas[start - 1], lambdas[start])
-        if end < npts - 1 and np.isfinite(prod[end + 1]):
-            which = (lambda x, y: x) if gs[end] * gs[end + 1] < 0 else (lambda x, y: y)
-            b = _refine_root(material, scheme, roles, which, lambdas[end], lambdas[end + 1])
-        if best is None or (b - a) > (best[1] - best[0]):
-            best = (float(a), float(b))
-    return best
+    # each run of samples with tau_s tau_i < 0 ends at a first and a last
+    # sample; inner holds both ends of every run, outer the sample one further out
+    neg = np.concatenate(([False], prod < 0, [False]))
+    first = np.flatnonzero(~neg[:-1] & neg[1:])
+    last = np.flatnonzero(neg[:-1] & ~neg[1:]) - 1
+    if not first.size:
+        return None
+    inner, outer = np.concatenate((first, last)), np.concatenate((first - 1, last + 1))
+    ends = lambdas[inner]
+    # an end is refined when the product one sample out is finite, on whichever
+    # curve crosses zero between the two samples
+    padded = np.concatenate(([np.nan], prod, [np.nan]))
+    ref = np.flatnonzero(np.isfinite(padded[outer + 1]))
+    lo, hi = np.minimum(inner, outer)[ref], np.maximum(inner, outer)[ref]
+    on_s = gs[lo] * gs[hi] <= 0
+    ends[ref] = _refine_root(
+        material, scheme, roles, lambda s, i: np.where(on_s, s, i), lambdas[lo], lambdas[hi]
+    )
+    a, b = np.split(ends, 2)
+    k = np.argmax(b - a)
+    return float(a[k]), float(b[k])
 
 
 def asymmetric_design(material, lambda_um, length_um, pump, scheme="angle", roles=DEFAULT_ROLES):

@@ -37,7 +37,9 @@ def read_bjsa(path):
             raise ConfigError("not a BJSA file")
         if version != VERSION:
             raise ConfigError(f"unsupported BJSA version {version}")
-        n = int(round(n_f))
+        if not n_f.is_integer():
+            raise ConfigError(f"BJSA header n = {n_f} is not an integer")
+        n = int(n_f)
         data = np.frombuffer(fh.read(), dtype="<c16")
     if data.size != n * n:
         raise ConfigError(f"BJSA payload has {data.size} samples, expected {n * n}")

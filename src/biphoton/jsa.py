@@ -20,8 +20,9 @@ from .materials import (
     DEFAULT_ROLES,
     RaySpec,
     carrier_mismatch,
+    forward_mismatch,
+    group_delays,
     gvd,
-    inverse_group_velocity,
     phasematching_angle,
     qpm_period,
     wavenumber,
@@ -37,7 +38,7 @@ class PumpConfig:
     beta_t: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError("pump sigma must be positive")
 
 
@@ -51,7 +52,7 @@ class CrystalConfig:
     qpm_period_um: float = None
 
     def __post_init__(self):
-        if self.length_um <= 0:
+        if not self.length_um > 0:
             raise ConfigError("crystal length must be positive")
 
     def lambda0_um(self):
@@ -96,20 +97,15 @@ class TaylorCoefficients:
 
 
 def taylor_coefficients(crystal):
-    m, th, L = crystal.material, crystal.theta, crystal.length_um
-    w0 = crystal.omega0
-    roles = crystal.roles
+    L = crystal.length_um
     residual = crystal.delta_k0()
     if abs(residual) > 1e-6:
         raise ConfigError(
             f"crystal not phasematched: residual delta_k0 = {residual:.3e} rad/um"
         )
-    kp1 = inverse_group_velocity(m, RaySpec(roles.pump, th), 2 * w0)
-    kp2 = gvd(m, RaySpec(roles.pump, th), 2 * w0)
-    ks1 = inverse_group_velocity(m, RaySpec(roles.signal, th), w0)
-    ks2 = gvd(m, RaySpec(roles.signal, th), w0)
-    ki1 = inverse_group_velocity(m, RaySpec(roles.idler, th), w0)
-    ki2 = gvd(m, RaySpec(roles.idler, th), w0)
+    carriers = (crystal.material, crystal.theta, crystal.roles, crystal.omega0)
+    kp1, ks1, ki1 = group_delays(*carriers)
+    kp2, ks2, ki2 = group_delays(*carriers, gvd)
     return TaylorCoefficients(
         tau_s=L * (ks1 - kp1),
         tau_i=L * (ki1 - kp1),
@@ -129,8 +125,19 @@ def marginal_sigmas(pump, coeffs):
     return sig_s, sig_i
 
 
+class _SquareGrid:
+    """Axis x_k = (k - n/2) dx, dx = 2 half_span / n, of the frequency and time grids."""
+
+    @property
+    def spacing(self):
+        return 2.0 * self.half_span / self.n
+
+    def axis(self):
+        return (np.arange(self.n) - self.n // 2) * self.spacing
+
+
 @dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(_SquareGrid):
     """Square detuning grid nu_k = (k - n/2) dnu, dnu = 2 half_span / n."""
 
     omega0: float
@@ -142,28 +149,16 @@ class FrequencyGrid:
             raise ConfigError("grid n must be a power of two, at least 32")
         if not (np.isfinite(self.half_span) and self.half_span > 0):
             raise ConfigError("grid half_span must be positive and finite")
-
-    @property
-    def spacing(self):
-        return 2.0 * self.half_span / self.n
-
-    def axis(self):
-        return (np.arange(self.n) - self.n // 2) * self.spacing
+        if not np.isfinite(self.omega0):
+            raise ConfigError("grid omega0 must be finite")
 
 
 @dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_SquareGrid):
     """Conjugate square time grid t_k = (k - n/2) dt."""
 
     half_span: float
     n: int
-
-    @property
-    def spacing(self):
-        return 2.0 * self.half_span / self.n
-
-    def axis(self):
-        return (np.arange(self.n) - self.n // 2) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -195,16 +190,6 @@ def _grating_shift(crystal):
         return 0.0
     raw = carrier_mismatch(crystal.material, crystal.theta, crystal.lambda0_um(), crystal.roles)
     return np.sign(raw) * 2.0 * np.pi / crystal.qpm_period_um
-
-
-def forward_mismatch(material, theta, roles, omega0, nu_s, nu_i, grating=0.0):
-    """D = k_s + k_i - (k_p - grating) at arbitrary detunings."""
-    vs = np.asarray(nu_s, dtype=float)
-    vi = np.asarray(nu_i, dtype=float)
-    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + vs)
-    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + vi)
-    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + vs + vi)
-    return ks + ki - (kp - grating)
 
 
 def mismatch_on_grid(material, theta, roles, omega0, grid, grating=0.0):

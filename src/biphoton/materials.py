@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .constants import C_UM_PS, lambda_from_omega
+from .constants import C_UM_PS, lambda_from_omega, omega_from_lambda
 from .errors import (
     AlreadyMatched,
     ConfigError,
@@ -68,7 +67,8 @@ class RaySpec:
     theta: float = np.pi / 2
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi / 2 + 1e-12):
+        th = np.asarray(self.theta, dtype=float)
+        if not np.all((th >= 0.0) & (th <= np.pi / 2 + 1e-12)):
             raise ConfigError(f"theta {self.theta} outside [0, pi/2]")
 
 
@@ -129,7 +129,7 @@ def get_material(name, db=None):
 def _check_range(model, lambda_um):
     lam = np.asarray(lambda_um, dtype=float)
     lo, hi = model.valid_range
-    if np.any(lam < lo) or np.any(lam > hi):
+    if not np.all((lam >= lo) & (lam <= hi)):
         raise OutOfRange(
             f"{model.material_id}: wavelength outside validity range [{lo}, {hi}] um"
         )
@@ -177,45 +177,111 @@ def gvd(model, ray, omega, rel_step=DERIV_REL_STEP):
 
 def walkoff_angle(model, theta, lambda_um):
     """Poynting walkoff magnitude of the extraordinary ray, in degrees."""
-    _check_range(model, lambda_um)
+    neff = refractive_index(model, RaySpec(Pol.EXTRAORDINARY, theta), lambda_um)
     no2 = model.sellmeier_o.n_squared(lambda_um)
     ne2 = model.sellmeier_e.n_squared(lambda_um)
-    neff = refractive_index(model, RaySpec(Pol.EXTRAORDINARY, theta), lambda_um)
     rho = np.arctan(0.5 * neff**2 * np.abs(1.0 / ne2 - 1.0 / no2) * np.abs(np.sin(2.0 * theta)))
     return np.degrees(rho)
 
 
+def group_delays(model, theta, roles, omega0, deriv=None):
+    """(pump, signal, idler) values of deriv, by default k' (pass gvd for k''),
+    with the pump at 2 omega0 and the pair at omega0."""
+    deriv = deriv or inverse_group_velocity
+    waves = ((roles.pump, 2 * omega0), (roles.signal, omega0), (roles.idler, omega0))
+    return tuple(deriv(model, RaySpec(pol, theta), w) for pol, w in waves)
+
+
+def forward_mismatch(material, theta, roles, omega0, nu_s, nu_i, grating=0.0):
+    """D = k_s + k_i - (k_p - grating) at arbitrary detunings."""
+    vs = np.asarray(nu_s, dtype=float)
+    vi = np.asarray(nu_i, dtype=float)
+    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + vs)
+    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + vi)
+    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + vs + vi)
+    return ks + ki - (kp - grating)
+
+
 def carrier_mismatch(model, theta, lambda_pdc_um, roles=DEFAULT_ROLES, qpm_period=None):
     """delta_k = k_p - k_s - k_i at degeneracy, minus the grating vector if poled."""
-    w0 = 2.0 * np.pi * C_UM_PS / lambda_pdc_um
-    kp = wavenumber(model, RaySpec(roles.pump, theta), 2.0 * w0)
-    ks = wavenumber(model, RaySpec(roles.signal, theta), w0)
-    ki = wavenumber(model, RaySpec(roles.idler, theta), w0)
-    dk = kp - ks - ki
+    dk = -forward_mismatch(model, theta, roles, omega_from_lambda(lambda_pdc_um), 0.0, 0.0)
     if qpm_period is not None:
         dk = dk - np.sign(dk) * 2.0 * np.pi / qpm_period
     return dk
 
 
+#: iteration cap of find_root; bisection alone reaches one ulp in about 60
+FIND_ROOT_MAXITER = 100
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def find_root(f, a, b):
+    """Roots of an elementwise f, one per bracket [a_j, b_j] with f(a_j) f(b_j) <= 0.
+
+    Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)): inverse quadratic
+    interpolation where the last three points allow it, bisection otherwise.
+    A lane is frozen once f is exactly 0 or its bracket is a few ulp wide, in
+    units of the root or, for a root at 0, of the starting bracket.
+    """
+    # a is the newest point, [a, b] brackets the root, c is the point a replaced
+    b, a = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    fb, fa = f(b), f(a)
+    if not np.all(np.sign(fa) * np.sign(fb) <= 0):
+        raise NumericalFailure("find_root: bracket without a sign change")
+    c, fc, t, width = a, fa, 0.5, np.abs(b - a)
+    root = np.where(np.abs(fa) < np.abs(fb), a, b)
+    done = (fa == 0) | (fb == 0)
+    eps = np.finfo(float).eps
+    for _ in range(FIND_ROOT_MAXITER + 1):
+        if done.all():
+            return root
+        xt = a + t * (b - a)
+        ft = f(xt)
+        if not np.all(np.isfinite(ft) | done):
+            raise NumericalFailure("find_root: non-finite function value in a bracket")
+        same = done | (np.sign(ft) == np.sign(fa))
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = np.where(done, a, xt), np.where(done, fa, ft)
+        a_best = np.abs(fa) < np.abs(fb)
+        xm, fm = np.where(a_best, a, b), np.where(a_best, fa, fb)
+        tlim = 2.0 * eps * (np.abs(xm) + width) / np.abs(b - c)
+        stop = ~done & ((fm == 0) | (tlim > 0.5))
+        root, done = np.where(stop, xm, root), done | stop
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        iqi = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        t = np.where(done, 0.5, np.clip(np.where(iqi, t, 0.5), tlim, 1.0 - tlim))
+    raise NumericalFailure(f"find_root: no convergence in {FIND_ROOT_MAXITER} iterations")
+
+
 def phasematching_angle(model, lambda_pdc_um, roles=DEFAULT_ROLES):
-    """Collinear degenerate phasematching angle (rad) by bracketed bisection."""
+    """Collinear degenerate phasematching angle (rad), elementwise in lambda.
+
+    A 61-point scan in theta brackets the first sign change of the carrier
+    mismatch and find_root refines it. An array of wavelengths gives NaN where
+    no angle exists; a scalar wavelength raises NoPhasematch there.
+    """
+    lam = np.asarray(lambda_pdc_um, dtype=float)
+    scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
+    sign = np.sign(carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam, roles))
+    change = sign[:-1] * sign[1:] < 0
+    found, first = change.any(axis=0), change.argmax(axis=0)
 
     def f(theta):
-        return carrier_mismatch(model, theta, lambda_pdc_um, roles)
+        return carrier_mismatch(model, theta, lam[found], roles)
 
-    thetas = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    vals = np.array([f(t) for t in thetas])
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) == 0:
+    theta = np.full(lam.shape, np.nan)
+    theta[found] = find_root(f, scan[first[found]], scan[first[found] + 1])
+    if np.any(np.abs(f(theta[found])) > 1e-10):
+        raise NumericalFailure("phasematching residual above 1e-10 rad/um")
+    if lam.ndim:
+        return theta
+    if not found:
         raise NoPhasematch(
             f"{model.material_id}: no collinear phasematching angle at {lambda_pdc_um} um"
         )
-    a, b = thetas[idx[0]], thetas[idx[0] + 1]
-    theta_c = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(theta_c)) > 1e-10:
-        raise NumericalFailure("phasematching residual above 1e-10 rad/um")
-    return theta_c
+    return float(theta)
 
 
 def qpm_period(model, lambda_pdc_um, theta=np.pi / 2, roles=DEFAULT_ROLES):

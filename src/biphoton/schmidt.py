@@ -116,7 +116,7 @@ def heralded_state(ja, filt=None):
     weights = filt.amplitude_transmission(omega) ** 2
     rho_raw = (A * weights[None, :]) @ A.conj().T
     rate = float(np.trace(rho_raw).real)
-    if rate < 1e-30:
+    if not rate >= 1e-30:
         raise ZeroHeraldRate("filter passes no amplitude on this grid")
     rho = rho_raw / rate
     return 0.5 * (rho + rho.conj().T), rate

@@ -372,6 +372,32 @@ def test_non_finite_grid_span_exits_2(tmp_path):
     assert "half_span" in doc["message"]
 
 
+def test_non_finite_carrier_exits_2(tmp_path):
+    n = 32
+    path = tmp_path / "nan_w0.bjsa"
+    head = struct.pack("<4sH3d", b"BJSA", 1, float(n), float("nan"), 10.0)
+    path.write_bytes(head + np.ones(n * n, dtype="<c16").tobytes())
+    filt = ["--filter-kind", "gaussian", "--filter-center-nm", "830", "--filter-width-nm", "3"]
+    doc = parse_error(run_cli("schmidt", "--in", str(path), *filt), 2)
+    assert doc["error"] == "ConfigError"
+    assert "omega0" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "materials --material BBO --ray o --lambda-nm nan",
+        "design-asymmetric --material KDP --lambda-nm 830 --length-mm nan --pump-fwhm-nm 5",
+        "design-gvm --material KTP --scheme qpm --window-lo-um 2.0 --window-hi-um 1.3",
+        "design-gvm --material KTP --scheme qpm --window-lo-um nan --window-hi-um 2.0",
+    ],
+)
+def test_nan_or_reversed_physical_inputs_exit_2(argv):
+    proc = run_cli(*argv.split())
+    assert parse_error(proc, 2)["error"] in ("ConfigError", "OutOfRange")
+    assert proc.stdout == ""
+
+
 def test_out_dir_under_a_file_exits_2(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")

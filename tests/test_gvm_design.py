@@ -89,6 +89,16 @@ def test_gvm_search_respects_window(db):
     assert gvm_wavelength_search(db["BBO"], scheme="angle", window=(0.9, 1.2)) is None
 
 
+@pytest.mark.parametrize(
+    "window", [(2.0, 1.3), (1.5, 1.5), (float("nan"), 2.0), (1.3, float("inf")), (5.0, 6.0)]
+)
+def test_bad_scan_windows_rejected(db, window):
+    with pytest.raises(bp.ConfigError):
+        gvm_wavelength_search(db["KTP"], scheme="qpm", window=window)
+    with pytest.raises(bp.ConfigError):
+        decorrelation_range(db["KTP"], scheme="qpm", window=window)
+
+
 def test_decorrelation_range_ktp(db):
     rng = decorrelation_range(db["KTP"], scheme="qpm")
     assert rng is not None

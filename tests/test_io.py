@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,12 @@ def test_csv_rejects_wrong_column_count(tmp_path):
     path.write_text("nu_s,nu_i,re_f,im_f\n0.0,0.0,1.0\n1.0,1.0,2.0\n")
     with pytest.raises(bp.ConfigError, match="four columns"):
         io.read_csv(path)
+
+
+@pytest.mark.parametrize("n_header", [float("nan"), float("inf"), 32.5])
+def test_bjsa_header_n_must_be_an_integer(tmp_path, n_header):
+    path = tmp_path / "bad_n.bjsa"
+    head = struct.pack("<4sH3d", b"BJSA", 1, n_header, bp.omega_from_lambda(0.83), 10.0)
+    path.write_bytes(head + np.ones(32 * 32, dtype="<c16").tobytes())
+    with pytest.raises(bp.ConfigError, match="not an integer"):
+        io.read_bjsa(path)

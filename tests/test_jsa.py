@@ -157,6 +157,20 @@ def test_grid_validation():
     for half_span in (-1.0, float("nan"), float("inf")):
         with pytest.raises(bp.ConfigError):
             bp.FrequencyGrid(omega0=w0, half_span=half_span, n=64)
+    for omega0 in (float("nan"), float("inf")):
+        with pytest.raises(bp.ConfigError):
+            bp.FrequencyGrid(omega0=omega0, half_span=10.0, n=64)
+    # read_csv's default carrier when the header carries none
+    assert bp.FrequencyGrid(omega0=0.0, half_span=10.0, n=64).omega0 == 0.0
+
+
+def test_nan_length_and_pump_width_rejected(db):
+    w0 = bp.omega_from_lambda(0.83)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(bp.ConfigError):
+            CrystalConfig(db["KDP"], length_um=bad, theta=1.0, omega0=w0)
+        with pytest.raises(bp.ConfigError):
+            PumpConfig(omega_p0=2.0 * w0, sigma=bad)
 
 
 def test_degenerate_grid_rejected(kdp_source):

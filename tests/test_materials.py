@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from biphoton.materials import (
     Pol,
     RaySpec,
     Sellmeier,
+    find_root,
 )
 
 FLAT_N = 1.7
@@ -68,6 +71,24 @@ def test_out_of_range_rejected(db):
         bp.refractive_index(kdp, _ray(Pol.ORDINARY), 10.0)
     with pytest.raises(bp.OutOfRange):
         bp.wavenumber(kdp, _ray(Pol.ORDINARY), bp.omega_from_lambda(0.1))
+    with pytest.raises(bp.OutOfRange):
+        bp.refractive_index(kdp, _ray(Pol.ORDINARY), float("nan"))
+    with pytest.raises(bp.OutOfRange):
+        bp.refractive_index(kdp, _ray(Pol.ORDINARY), np.array([0.8, 10.0]))
+
+
+def test_array_angles_broadcast_against_wavelengths(db):
+    bbo = db["BBO"]
+    thetas = np.array([0.2, 0.7, 1.3])
+    lams = np.array([0.6, 0.8, 1.0, 1.5])
+    n = bp.refractive_index(bbo, _ray(Pol.EXTRAORDINARY, thetas[:, None]), lams[None, :])
+    for j, t in enumerate(thetas):
+        for k, lam in enumerate(lams):
+            expect = bp.refractive_index(bbo, _ray(Pol.EXTRAORDINARY, t), lam)
+            assert n[j, k] == pytest.approx(expect, rel=1e-15)
+    for bad in (np.array([0.2, -0.1]), np.array([0.2, np.nan]), np.array([2.0])):
+        with pytest.raises(bp.ConfigError):
+            RaySpec(Pol.EXTRAORDINARY, bad)
 
 
 def test_flat_material_group_velocity_and_gvd():
@@ -128,6 +149,53 @@ def test_phasematching_angle_bbo(db):
 def test_no_phasematching_angle_in_band(db):
     with pytest.raises(bp.NoPhasematch):
         bp.phasematching_angle(db["KDP"], 0.45)
+
+
+def test_phasematching_angle_array_matches_scalar_calls(db):
+    kdp = db["KDP"]
+    lams = np.array([[0.45, 0.7, 0.83], [1.0, 1.2, 1.4]])
+    thetas = bp.phasematching_angle(kdp, lams)
+    assert thetas.shape == lams.shape
+    assert np.isnan(thetas[0, 0])
+    for lam, theta in zip(lams.ravel(), thetas.ravel()):
+        try:
+            expect = bp.phasematching_angle(kdp, lam)
+        except bp.NoPhasematch:
+            assert np.isnan(theta)
+            continue
+        # the root is fixed only up to the rounding noise of the mismatch
+        assert abs(theta - expect) < 1e-13
+        assert abs(bp.carrier_mismatch(kdp, theta, lam)) < 1e-10
+    assert bp.phasematching_angle(kdp, np.array([])).shape == (0,)
+
+
+def test_find_root_solves_a_vector_of_brackets():
+    c = np.array([2.0, 8.0, 27.0, 0.001, 5.0])
+    a = np.array([0.0, 0.0, 3.0, 0.0, 1.0])
+    b = np.array([2.0, 2.0, 4.0, 1.0, 2.0])
+    roots = find_root(lambda x: x**3 - c, a, b)
+    # exact zeros at a bracket end come back exactly
+    assert roots[1] == 2.0 and roots[2] == 3.0
+    np.testing.assert_allclose(roots, np.cbrt(c), rtol=1e-15)
+    # a root at 0 is found to a few ulp of the starting bracket
+    assert abs(find_root(lambda x: x + 1e-30, -1.0, 1.0)) < 1e-15
+    dottie = find_root(lambda x: np.cos(x) - x, 0.0, 1.0)
+    assert dottie == pytest.approx(0.7390851332151607, abs=1e-15)
+
+
+def test_find_root_rejects_brackets_without_a_sign_change():
+    with pytest.raises(bp.NumericalFailure):
+        find_root(lambda x: x**2 + 1.0, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    with pytest.raises(bp.NumericalFailure):
+        find_root(lambda x: x - 0.5, np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+    # a function that turns non-finite inside the bracket cannot be trusted
+    with pytest.raises(bp.NumericalFailure):
+        find_root(lambda x: np.where(np.abs(x - 0.5) < 0.3, np.nan, x - 0.5), 0.0, 1.0)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, biphoton; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_qpm_period_cancels_mismatch(db):
