@@ -204,22 +204,20 @@ def design_assembly(
     if n_crystals < 1:
         raise ConfigError("n_crystals must be at least 1")
     theta_c = phasematching_angle(crystal_material, lambda_um, roles)
-    ratio = generalized_gvm_ratio(
-        crystal_material, spacer_material, lambda_um, theta_c, spacer_theta, roles, spacer_roles
-    )
-    if ratio is None or ratio <= 0:
-        raise NoOppositeSign(
-            "crystal and spacer group-velocity mismatches do not compensate"
-        )
-    h_min, h = quantize_spacer(
-        spacer_material, lambda_um, m_integer, spacer_theta, spacer_roles or roles
-    )
-    length = h / ratio
     w0 = omega_from_lambda(lambda_um)
     m_c, ps_c, pi_c = _unit_mismatch_sums(crystal_material, theta_c, roles, w0)
     m_sp, ps_sp, pi_sp = _unit_mismatch_sums(
         spacer_material, spacer_theta, spacer_roles or roles, w0
     )
+    if not m_c * m_sp < 0:
+        raise NoOppositeSign(
+            "crystal and spacer group-velocity mismatches do not compensate"
+        )
+    ratio = -m_c / m_sp
+    h_min, h = quantize_spacer(
+        spacer_material, lambda_um, m_integer, spacer_theta, spacer_roles or roles
+    )
+    length = h / ratio
     t_s = ps_c * length + ps_sp * h
     t_i = pi_c * length + pi_sp * h
     t_minus = 0.5 * (t_i - t_s)

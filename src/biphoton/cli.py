@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +362,8 @@ def _build_filter(args):
     if args.filter_kind == "unit":
         return SpectralFilter.unit()
     _require(args, "filter_center_nm", "filter_width_nm")
+    if not (0 < args.filter_center_nm < np.inf and 0 < args.filter_width_nm < np.inf):
+        raise ConfigError("--filter-center-nm and --filter-width-nm must be positive and finite")
     lam_c = um_from_nm(args.filter_center_nm)
     center = omega_from_lambda(lam_c)
     # d omega = 2 pi c d lambda / lambda^2 at the filter center
@@ -446,16 +448,9 @@ def _cmd_design_asymmetric(args):
     material = get_material(args.material)
     lam = um_from_nm(args.lambda_nm)
     length = um_from_mm(args.length_mm)
-    report, long_crystal = asymmetric_design(
+    report, long_crystal, crystal, pump, coeffs = asymmetric_design(
         material, lam, length, args.pump_fwhm_nm, scheme=args.scheme
     )
-    if args.scheme == "qpm":
-        crystal = qpm_matched_crystal(material, lam, length)
-    else:
-        crystal = angle_matched_crystal(material, lam, length)
-    sigma = sigma_from_fwhm_nm(args.pump_fwhm_nm, lam / 2.0)
-    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
-    coeffs = taylor_coefficients(crystal)
     return {
         "command": "design-asymmetric",
         "material": material.material_id,
@@ -583,13 +578,16 @@ def _repro_assembly_numbers():
     ]
 
 
-def _repro_kdp():
-    material = get_material("KDP")
-    crystal = angle_matched_crystal(material, 0.83, 20000.0)
-    sigma = sigma_from_fwhm_nm(5.0, 0.415)
-    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
+def _kdp_source():
+    """The 2 cm KDP crystal at 830 nm, its 5 nm pump, coefficients and 256-point JSA."""
+    crystal = angle_matched_crystal(get_material("KDP"), 0.83, 20000.0)
+    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma_from_fwhm_nm(5.0, 0.415))
     coeffs = taylor_coefficients(crystal)
-    ja = jsa_grid(pump, crystal, default_grid(pump, coeffs, n=256))
+    return crystal, pump, coeffs, jsa_grid(pump, crystal, default_grid(pump, coeffs, n=256))
+
+
+def _repro_kdp():
+    crystal, _, coeffs, ja = _kdp_source()
     K = cooperativity(schmidt_decompose(ja))
     tau_e, tau_o = coeffs.tau_s, coeffs.tau_i
     return [
@@ -667,13 +665,7 @@ def _repro_properties():
     checks.append(_check("mehler_lambda_dev", worst, None, upper=1e-4))
 
     # (c) Parseval through the temporal transform
-    material = get_material("KDP")
-    crystal = angle_matched_crystal(material, 0.83, 20000.0)
-    pump = PumpConfig(
-        omega_p0=2.0 * crystal.omega0, sigma=sigma_from_fwhm_nm(5.0, 0.415)
-    )
-    coeffs = taylor_coefficients(crystal)
-    ja = jsa_grid(pump, crystal, default_grid(pump, coeffs, n=256))
+    crystal, pump, _, ja = _kdp_source()
     jti = joint_temporal_intensity(ja)
     checks.append(
         _check("parseval_dev", abs(jti.norm_squared() - 1.0), None, upper=1e-9)
@@ -682,14 +674,7 @@ def _repro_properties():
     # (d) inverse-quadratic scaling of the mixed temporal coefficient
     ratios = []
     for length in (80000.0, 160000.0):
-        c = taylor_coefficients(
-            CrystalConfig(
-                material=material,
-                length_um=length,
-                theta=crystal.theta,
-                omega0=crystal.omega0,
-            )
-        )
+        c = taylor_coefficients(replace(crystal, length_um=length))
         ratios.append(temporal_report(pump, c).sigma_M_sq)
     checks.append(
         _check("sigma_M_sq_scaling", ratios[1] / ratios[0], 0.25, rel=0.10)

@@ -167,8 +167,8 @@ def asymmetric_design(material, lambda_um, length_um, pump, scheme="angle", role
     """Factorizability report in the asymmetric (one tau near zero) regime.
 
     pump may be a PumpConfig or a pump intensity FWHM in nm. Returns
-    (report, long_crystal_regime); raises NotAsymmetric unless one mismatch
-    is below 5% of the other.
+    (report, long_crystal_regime, crystal, pump, coeffs); raises NotAsymmetric
+    unless one mismatch is below 5% of the other.
     """
     if scheme == "angle":
         crystal = angle_matched_crystal(material, lambda_um, length_um, roles)
@@ -186,7 +186,7 @@ def asymmetric_design(material, lambda_um, length_um, pump, scheme="angle", role
         )
     report = factorizability_report(pump, coeffs)
     long_crystal = bool(pump.sigma * hi > 10.0)
-    return report, long_crystal
+    return report, long_crystal, crystal, pump, coeffs
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,6 @@ from .errors import (
 
 ENV_MATERIALS_PATH = "BIPHOTON_MATERIALS_PATH"
 
-#: relative frequency step for dispersion derivatives
-DERIV_REL_STEP = 1e-4
-
 
 class Pol(str, enum.Enum):
     ORDINARY = "o"
@@ -50,6 +47,14 @@ class Sellmeier:
         for a, b, d in self.terms:
             acc = acc + (a + b * L2) / (L2 - d)
         return acc
+
+    def x_derivatives(self, x):
+        """(n^2, d n^2/dx, d^2 n^2/dx^2) at x = lambda^2 (um^2)."""
+        f, fx, fxx = self.c0 + self.lambda_sq * x, self.lambda_sq, 0.0
+        for a, b, d in self.terms:
+            r = (a + b * d) / (x - d) ** 2
+            f, fx, fxx = f + (a + b * x) / (x - d), fx - r, fxx + 2.0 * r / (x - d)
+        return f, fx, fxx
 
 
 @dataclass(frozen=True)
@@ -152,27 +157,35 @@ def wavenumber(model, ray, omega):
     return refractive_index(model, ray, lam) * np.asarray(omega, dtype=float) / C_UM_PS
 
 
-def inverse_group_velocity(model, ray, omega, rel_step=DERIV_REL_STEP):
-    """dk/domega (ps/um) by Richardson-extrapolated central differences."""
-    h = rel_step * omega
+def _k_derivatives(model, ray, omega):
+    """(dk/domega, d2k/domega2) in closed form from the Sellmeier data.
 
-    def diff(hh):
-        return (wavenumber(model, ray, omega + hh) - wavenumber(model, ray, omega - hh)) / (2 * hh)
+    u = 1/n^2 = (1 - s2)/n_o^2 + s2/n_e^2, with s2 = sin^2(theta) for the
+    extraordinary ray and 0 for the ordinary one, gives n_x and n_xx at
+    x = lambda^2. With dx/domega = -2x/omega, k' = (n - 2x n_x)/c and
+    k'' = 2x (n_x + 2x n_xx)/(c omega).
+    """
+    lam = lambda_from_omega(np.asarray(omega, dtype=float))
+    _check_range(model, lam)
+    x = lam**2
+    s2 = 0.0 if ray.polarization is Pol.ORDINARY else np.sin(ray.theta) ** 2
+    u = ux = uxx = 0.0
+    for sellmeier, w in ((model.sellmeier_o, 1.0 - s2), (model.sellmeier_e, s2)):
+        f, fx, fxx = sellmeier.x_derivatives(x)
+        u, ux, uxx = u + w / f, ux - w * fx / f**2, uxx + w * (2.0 * fx**2 / f - fxx) / f**2
+    n = u**-0.5
+    nx, nxx = -0.5 * n**3 * ux, n**3 * (0.75 * n**2 * ux**2 - 0.5 * uxx)
+    return (n - 2.0 * x * nx) / C_UM_PS, 2.0 * x * (nx + 2.0 * x * nxx) / (C_UM_PS * omega)
 
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+
+def inverse_group_velocity(model, ray, omega):
+    """dk/domega (ps/um)."""
+    return _k_derivatives(model, ray, omega)[0]
 
 
-def gvd(model, ray, omega, rel_step=DERIV_REL_STEP):
-    """d2k/domega2 (ps^2/um), same stencil strategy as the first derivative."""
-    h = rel_step * omega
-    k0 = wavenumber(model, ray, omega)
-
-    def diff2(hh):
-        return (
-            wavenumber(model, ray, omega + hh) - 2.0 * k0 + wavenumber(model, ray, omega - hh)
-        ) / hh**2
-
-    return (4.0 * diff2(h / 2) - diff2(h)) / 3.0
+def gvd(model, ray, omega):
+    """d2k/domega2 (ps^2/um)."""
+    return _k_derivatives(model, ray, omega)[1]
 
 
 def walkoff_angle(model, theta, lambda_um):

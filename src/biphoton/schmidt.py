@@ -77,8 +77,8 @@ class SpectralFilter:
     def __post_init__(self):
         if self.kind not in ("unit", "gaussian", "tophat"):
             raise ConfigError(f"unknown filter kind {self.kind!r}")
-        if self.kind != "unit" and self.width <= 0:
-            raise ConfigError("filter width must be positive")
+        if self.kind != "unit" and not (0 < self.center < np.inf and 0 < self.width < np.inf):
+            raise ConfigError("filter center and width must be positive and finite")
 
     @classmethod
     def unit(cls):

@@ -80,10 +80,10 @@ def test_materials_matches_library(db):
     assert doc["n"] == pytest.approx(bp.refractive_index(db["KDP"], ray, 0.83), rel=1e-14)
     assert doc["k_rad_um"] == pytest.approx(wavenumber(db["KDP"], ray, w), rel=1e-14)
     assert doc["k_prime_ps_um"] == pytest.approx(
-        inverse_group_velocity(db["KDP"], ray, w), rel=1e-12
+        inverse_group_velocity(db["KDP"], ray, w), rel=1e-14
     )
     assert doc["k_double_prime_ps2_um"] == pytest.approx(
-        gvd(db["KDP"], ray, w), rel=1e-9
+        gvd(db["KDP"], ray, w), rel=1e-14
     )
     assert doc["theta_deg"] == 90.0
 
@@ -381,6 +381,16 @@ def test_non_finite_carrier_exits_2(tmp_path):
     doc = parse_error(run_cli("schmidt", "--in", str(path), *filt), 2)
     assert doc["error"] == "ConfigError"
     assert "omega0" in doc["message"]
+
+
+def test_bad_filter_exits_2(kdp_analysis):
+    _, out = kdp_analysis
+    for center, width in (("0", "3"), ("830", "nan"), ("nan", "3"), ("-830", "3"), ("830", "inf")):
+        filt = ["--filter-kind", "gaussian", "--filter-center-nm", center]
+        proc = run_cli("schmidt", "--in", str(out / "jsa.bjsa"), *filt, "--filter-width-nm", width)
+        doc = parse_error(proc, 2)
+        assert doc["error"] == "ConfigError"
+        assert "positive and finite" in doc["message"]
 
 
 @pytest.mark.parametrize(

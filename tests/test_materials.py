@@ -99,32 +99,40 @@ def test_flat_material_group_velocity_and_gvd():
 
 
 def test_group_velocity_against_analytic_dispersion():
-    # n^2 = c0 + E lam^2 gives dk/domega = c0 / (n c) exactly
-    c0, e2 = 2.4, -0.01
-    model = DispersionModel(
-        material_id="DISP",
-        sellmeier_o=Sellmeier(c0=c0, terms=(), lambda_sq=e2),
-        sellmeier_e=Sellmeier(c0=c0, terms=(), lambda_sq=e2),
-        valid_range=(0.1, 10.0),
-    )
-    for lam in (0.4, 0.8, 1.6):
-        n = np.sqrt(c0 + e2 * lam * lam)
-        ivg = bp.inverse_group_velocity(model, _ray(Pol.ORDINARY), bp.omega_from_lambda(lam))
-        assert abs(ivg - c0 / (n * bp.C_UM_PS)) < 1e-10
+    # n^2 = g(x) = c0 + E x + (A + B x)/(x - D) with x = lam^2; in lambda,
+    # n' = lam g_x / n and n'' = (g_x + 2x g_xx)/n - x g_x^2/n^3, so that
+    # k' = (n - lam n')/c and k'' = lam^3 n''/(2 pi c^2)
+    c0, e2, (a, b, d) = 2.4, -0.01, (0.01, 0.9, 0.05)
+    for pole in (0.0, 1.0):
+        sellmeier = Sellmeier(c0=c0, terms=((pole * a, pole * b, d),), lambda_sq=e2)
+        model = DispersionModel("DISP", sellmeier, sellmeier, valid_range=(0.1, 10.0))
+        for lam in (0.4, 0.8, 1.6):
+            x = lam * lam
+            g = c0 + e2 * x + pole * (a + b * x) / (x - d)
+            gx = e2 + pole * (b / (x - d) - (a + b * x) / (x - d) ** 2)
+            gxx = pole * (2 * (a + b * x) / (x - d) ** 3 - 2 * b / (x - d) ** 2)
+            n = np.sqrt(g)
+            dn, d2n = lam * gx / n, (gx + 2 * x * gxx) / n - x * gx**2 / n**3
+            w = bp.omega_from_lambda(lam)
+            ivg = bp.inverse_group_velocity(model, _ray(Pol.ORDINARY), w)
+            assert ivg == pytest.approx((n - lam * dn) / bp.C_UM_PS, rel=1e-14)
+            if not pole:
+                # without the pole, dk/domega = c0 / (n c) exactly
+                assert ivg == pytest.approx(c0 / (n * bp.C_UM_PS), rel=1e-14)
+            k2 = lam**3 * d2n / (2 * np.pi * bp.C_UM_PS**2)
+            assert bp.gvd(model, _ray(Pol.ORDINARY), w) == pytest.approx(k2, rel=1e-13)
 
 
-def test_derivative_step_converged(db):
+def test_derivatives_match_central_differences(db):
     kdp = db["KDP"]
     w = bp.omega_from_lambda(0.83)
-    ray = _ray(Pol.EXTRAORDINARY, 1.0)
-    a = bp.inverse_group_velocity(kdp, ray, w)
-    b = bp.inverse_group_velocity(kdp, ray, w, rel_step=5e-5)
-    assert abs(a - b) / abs(a) < 1e-9
-    ga = bp.gvd(kdp, ray, w)
-    gb = bp.gvd(kdp, ray, w, rel_step=5e-5)
-    # the e-ray GVD is ~3e-8 ps^2/um here, close to the FP noise floor of the
-    # second difference, so convergence needs an absolute term as well
-    assert abs(ga - gb) < 1e-6 * abs(ga) + 5e-12
+    for ray in (_ray(Pol.ORDINARY), _ray(Pol.EXTRAORDINARY, 1.0)):
+        h = 1e-3 * w
+        km, k0, kp = (bp.wavenumber(kdp, ray, w + j * h) for j in (-1, 0, 1))
+        # the stencils' truncation error is about 1e-8 and 1e-6 relative at this step
+        k1, k2 = bp.inverse_group_velocity(kdp, ray, w), bp.gvd(kdp, ray, w)
+        assert k1 == pytest.approx((kp - km) / (2 * h), rel=1e-7)
+        assert k2 == pytest.approx((kp - 2 * k0 + km) / h**2, rel=1e-5)
 
 
 def test_walkoff_vanishes_on_axes(db):

@@ -142,6 +142,9 @@ def test_filter_validation():
         SpectralFilter.gaussian(center=0.0, fwhm=0.0)
     with pytest.raises(bp.ConfigError):
         SpectralFilter.tophat(center=0.0, width=-1.0)
+    for center, width in ((1.0, np.nan), (1.0, np.inf), (np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(bp.ConfigError):
+            SpectralFilter.gaussian(center=center, fwhm=width)
     flat = SpectralFilter.unit()
     assert np.all(flat.amplitude_transmission(np.linspace(-5, 5, 7)) == 1.0)
 
