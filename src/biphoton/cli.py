@@ -40,7 +40,7 @@ from .gvm_design import (
     gvm_wavelength_search,
     temporal_report,
 )
-from .io import read_bjsa, read_csv, write_bjsa, write_csv
+from .io import grid_rows, read_bjsa, read_csv, write_bjsa, write_csv, write_table
 from .jsa import (
     CrystalConfig,
     FrequencyGrid,
@@ -89,25 +89,16 @@ def deg_from_rad(rad):
     return float(rad) * 180.0 / np.pi
 
 
-def _jsonable(obj):
-    """Recursively strip numpy types so json.dumps sees plain Python."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _tolist(obj):
+    """json.dumps hook: numpy arrays and non-float scalars become plain Python
+    (np.float64 is a float and needs none)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(obj):
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_tolist) + "\n"
 
 
 def _emit(obj):
@@ -126,16 +117,6 @@ def _out_dir(path):
 
 def _write_json(path, obj):
     Path(path).write_text(_dumps(obj), encoding="utf-8")
-
-
-def _write_intensity_csv(path, axis_name, axis, values, comment):
-    # 3-column intensity grid, 17 significant digits, rows in C order
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(f"{axis_name}_row,{axis_name}_col,intensity\n")
-        for j, a in enumerate(axis):
-            for k, b in enumerate(axis):
-                fh.write(f"{a:.17g},{b:.17g},{values[j, k]:.17g}\n")
 
 
 # ------------------------------------------------------------------- parser
@@ -329,20 +310,12 @@ def _cmd_analyze(args):
         out = _out_dir(args.out_dir)
         write_bjsa(ja, out / "jsa.bjsa")
         write_csv(ja, out / "jsa.csv")
-        _write_intensity_csv(
-            out / "jsi.csv",
-            "nu_rad_ps",
-            grid.axis(),
-            np.abs(ja.values) ** 2,
-            f"joint spectral intensity, omega0_rad_ps={grid.omega0!r}",
-        )
-        _write_intensity_csv(
-            out / "jti.csv",
-            "t_ps",
-            jti.grid.axis(),
-            np.abs(jti.values) ** 2,
-            "joint temporal intensity",
-        )
+        for name, axis, amp, comment in (
+            ("jsi", "nu_rad_ps", ja, f"joint spectral intensity, omega0_rad_ps={grid.omega0!r}"),
+            ("jti", "t_ps", jti, "joint temporal intensity"),
+        ):
+            rows = grid_rows(amp.grid.axis(), np.abs(amp.values) ** 2)
+            write_table(out / f"{name}.csv", comment, f"{axis}_row,{axis}_col,intensity", rows)
         report["exports"] = sorted(
             str(out / name) for name in ("jsa.bjsa", "jsa.csv", "jsi.csv", "jti.csv")
         )
@@ -351,8 +324,8 @@ def _cmd_analyze(args):
 
 def _load_amplitude(path):
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"input grid not found: {path}")
+    if not p.is_file():
+        raise ConfigError(f"input grid file not found: {path}")
     if p.suffix.lower() == ".bjsa":
         return read_bjsa(p)
     return read_csv(p)
@@ -375,13 +348,25 @@ def _build_filter(args):
 
 def _cmd_schmidt(args):
     _require(args, "infile")
+    if args.max_modes < 1 or args.n_modes < 1:
+        raise ConfigError("--max-modes and --n-modes must be at least 1")
     ja = _load_amplitude(args.infile)
     filt = _build_filter(args)
     metrics = herald_metrics(ja, filt)
     spectrum = metrics.spectrum
-    lambdas = spectrum.lambdas[: max(1, args.max_modes)]
+    lambdas = spectrum.lambdas[: args.max_modes]
     if args.modes_csv:
-        _write_modes_csv(args.modes_csv, ja.grid, spectrum, args.n_modes)
+        # amplitude densities u_kj / sqrt(d nu), (Re, Im) of psi_j then phi_j
+        n = min(args.n_modes, spectrum.lambdas.size)
+        modes = np.stack([spectrum.signal_modes[:, :n], spectrum.idler_modes[:, :n]], axis=2)
+        cells = (modes / np.sqrt(ja.grid.spacing)).view(float).reshape(ja.grid.n, 4 * n)
+        names = [f"{p}_{w}_{j}" for j in range(n) for w in ("psi", "phi") for p in ("re", "im")]
+        write_table(
+            args.modes_csv,
+            "mode functions as amplitude densities (1/sqrt(rad/ps))",
+            ",".join(["nu_rad_ps", *names]),
+            [np.column_stack([ja.grid.axis(), cells])],
+        )
     return {
         "command": "schmidt",
         "infile": str(args.infile),
@@ -397,30 +382,6 @@ def _cmd_schmidt(args):
         "purity": metrics.purity,
         "herald_rate": metrics.herald_rate,
     }
-
-
-def _write_modes_csv(path, grid, spectrum, n_modes):
-    n = min(n_modes, spectrum.lambdas.size)
-    root = np.sqrt(grid.spacing)
-    cols = ["nu_rad_ps"]
-    for j in range(n):
-        cols += [f"re_psi_{j}", f"im_psi_{j}", f"re_phi_{j}", f"im_phi_{j}"]
-    nu = grid.axis()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# mode functions as amplitude densities (1/sqrt(rad/ps))\n")
-        fh.write(",".join(cols) + "\n")
-        for row in range(grid.n):
-            vals = [f"{nu[row]:.17g}"]
-            for j in range(n):
-                psi = spectrum.signal_modes[row, j] / root
-                phi = spectrum.idler_modes[row, j] / root
-                vals += [
-                    f"{psi.real:.17g}",
-                    f"{psi.imag:.17g}",
-                    f"{phi.real:.17g}",
-                    f"{phi.imag:.17g}",
-                ]
-            fh.write(",".join(vals) + "\n")
 
 
 def _cmd_design_gvm(args):

@@ -1,8 +1,21 @@
-"""Grid amplitude import/export: CSV and the compact BJSA binary format.
+"""Grid amplitude import/export: CSV tables and the compact BJSA binary format.
 
 BJSA layout, all little-endian: 4-byte magic "BJSA", uint16 version, then
 three float64 (n, omega0, half_span), then the n x n complex amplitude
 row-major as interleaved (Re, Im) float64 pairs.
+
+Every CSV the package writes has one layout, produced by `write_table`: a
+`# comment` line, a comma-separated header line, then rows of %.17g cells, so
+each float64 parses back bit for bit. There are three tables:
+
+- amplitude (`write_csv`, `read_csv`): header `nu_s,nu_i,re_f,im_f`, one row
+  per grid point with the signal detuning varying slowest; the comment holds
+  `omega0_rad_ps=... half_span_rad_ps=... n=...`.
+- intensity (`jsi.csv`, `jti.csv`): header `<axis>_row,<axis>_col,intensity`
+  with axis `nu_rad_ps` or `t_ps`, rows in the same order.
+- modes (`schmidt --modes-csv`): header `nu_rad_ps` then
+  `re_psi_j,im_psi_j,re_phi_j,im_phi_j` per Schmidt mode j, one row per
+  detuning, modes as amplitude densities in 1/sqrt(rad/ps).
 """
 
 import struct
@@ -47,23 +60,34 @@ def read_bjsa(path):
     return JointAmplitude(grid, data.reshape(n, n).copy(), domain="spectral")
 
 
+def write_table(path, comment, header, blocks):
+    """`# comment`, the header, then each 2-D float block's rows in C order as %.17g
+    cells, one % on a row template per block, so large tables stream block by block."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        fh.write(f"# {comment}\n{header}\n")
+        for block in blocks:
+            rows, cols = block.shape
+            fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist()))
+
+
+def grid_rows(axis, *planes):
+    """write_table blocks (row axis, column axis, *planes[j]), one per grid row j."""
+    for j, a in enumerate(axis):
+        yield np.column_stack([np.full(axis.size, a), axis, *(p[j] for p in planes)])
+
+
 def write_csv(ja, path):
     """Four columns (nu_s, nu_i, Re f, Im f) at 17 significant digits."""
     if ja.domain != "spectral":
         raise ConfigError("CSV export is for spectral-domain amplitudes")
     g = ja.grid
-    nu = g.axis()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# omega0_rad_ps={float(g.omega0)!r} half_span_rad_ps={float(g.half_span)!r}"
-            f" n={g.n}\n"
-        )
-        fh.write("nu_s,nu_i,re_f,im_f\n")
-        for j in range(g.n):
-            row = ja.values[j]
-            for k in range(g.n):
-                v = row[k]
-                fh.write(f"{nu[j]:.17g},{nu[k]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    comment = f"omega0_rad_ps={float(g.omega0)!r} half_span_rad_ps={float(g.half_span)!r} n={g.n}"
+    rows = grid_rows(g.axis(), ja.values.real, ja.values.imag)
+    write_table(path, comment, "nu_s,nu_i,re_f,im_f", rows)
 
 
 def read_csv(path):

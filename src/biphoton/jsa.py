@@ -19,10 +19,10 @@ from .errors import BadDomain, ConfigError, DegenerateGrid
 from .materials import (
     DEFAULT_ROLES,
     RaySpec,
+    _k_derivatives,
     carrier_mismatch,
     forward_mismatch,
     group_delays,
-    gvd,
     phasematching_angle,
     qpm_period,
     wavenumber,
@@ -104,8 +104,7 @@ def taylor_coefficients(crystal):
             f"crystal not phasematched: residual delta_k0 = {residual:.3e} rad/um"
         )
     carriers = (crystal.material, crystal.theta, crystal.roles, crystal.omega0)
-    kp1, ks1, ki1 = group_delays(*carriers)
-    kp2, ks2, ki2 = group_delays(*carriers, gvd)
+    (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(*carriers, _k_derivatives)
     return TaylorCoefficients(
         tau_s=L * (ks1 - kp1),
         tau_i=L * (ki1 - kp1),

@@ -198,8 +198,8 @@ def walkoff_angle(model, theta, lambda_um):
 
 
 def group_delays(model, theta, roles, omega0, deriv=None):
-    """(pump, signal, idler) values of deriv, by default k' (pass gvd for k''),
-    with the pump at 2 omega0 and the pair at omega0."""
+    """(pump, signal, idler) values of deriv, by default k' (pass gvd for k'',
+    _k_derivatives for both), with the pump at 2 omega0 and the pair at omega0."""
     deriv = deriv or inverse_group_velocity
     waves = ((roles.pump, 2 * omega0), (roles.signal, omega0), (roles.idler, omega0))
     return tuple(deriv(model, RaySpec(pol, theta), w) for pol, w in waves)

@@ -15,6 +15,7 @@ import pytest
 
 import biphoton as bp
 from biphoton.io import read_bjsa
+from biphoton.jsa import joint_temporal_intensity
 from biphoton.materials import Pol, RaySpec, gvd, inverse_group_velocity, wavenumber
 
 SCHEMA = json.loads(
@@ -33,6 +34,12 @@ ANALYZE_KDP = [
     "--pump-fwhm-nm",
     "5",
 ]
+
+
+def read_table(path):
+    """(comment and header lines, cells parsed with float()) of an exported CSV."""
+    lines = path.read_text().splitlines()
+    return lines[:2], np.array([[float(c) for c in line.split(",")] for line in lines[2:]])
 
 
 def run_cli(*argv, env_extra=None):
@@ -111,6 +118,22 @@ def test_analyze_exports(kdp_analysis):
     back = read_bjsa(out / "jsa.bjsa")
     assert back.grid.n == 256
     assert abs(back.norm_squared() - 1.0) < 1e-9
+    jsi_comment = f"# joint spectral intensity, omega0_rad_ps={back.grid.omega0!r}"
+    for name, amp, head in (
+        ("jsi.csv", back, [jsi_comment, "nu_rad_ps_row,nu_rad_ps_col,intensity"]),
+        (
+            "jti.csv",
+            joint_temporal_intensity(back),
+            ["# joint temporal intensity", "t_ps_row,t_ps_col,intensity"],
+        ),
+    ):
+        header, table = read_table(out / name)
+        assert header == head, name
+        axis = amp.grid.axis()
+        assert table.shape == (axis.size**2, 3), name
+        assert np.array_equal(table[:, 0], np.repeat(axis, axis.size)), name
+        assert np.array_equal(table[:, 1], np.tile(axis, axis.size)), name
+        assert np.array_equal(table[:, 2], (np.abs(amp.values) ** 2).ravel()), name
 
 
 def test_schmidt_round_trip_from_export(kdp_analysis, tmp_path):
@@ -136,6 +159,14 @@ def test_schmidt_round_trip_from_export(kdp_analysis, tmp_path):
     assert lines[0].startswith("#")
     assert lines[1].split(",")[0] == "nu_rad_ps"
     assert len(lines) == 2 + 256
+    _, table = read_table(modes_csv)
+    grid = read_bjsa(out / "jsa.bjsa").grid
+    assert np.array_equal(table[:, 0], grid.axis())
+    assert table.shape[1] == 1 + 4 * 2
+    # psi_j and phi_j are (Re, Im) column pairs of unit-norm amplitude densities
+    for re in range(1, table.shape[1], 2):
+        norm = np.sum(table[:, re] ** 2 + table[:, re + 1] ** 2) * grid.spacing
+        assert norm == pytest.approx(1.0, abs=1e-12), lines[1].split(",")[re]
 
 
 def test_schmidt_csv_and_bjsa_agree(kdp_analysis):
@@ -348,10 +379,31 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_missing_input_grid_exits_2(tmp_path):
-    proc = run_cli("schmidt", "--in", str(tmp_path / "absent.bjsa"))
-    doc = parse_error(proc, 2)
-    assert doc["error"] == "ConfigError"
-    assert "not found" in doc["message"]
+    for path in (tmp_path / "absent.bjsa", tmp_path):
+        proc = run_cli("schmidt", "--in", str(path))
+        doc = parse_error(proc, 2)
+        assert doc["error"] == "ConfigError"
+        assert "not found" in doc["message"]
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_bad_schmidt_mode_options_exit_2(kdp_analysis, tmp_path):
+    _, out = kdp_analysis
+    modes = tmp_path / "modes.csv"
+    for extra in (
+        ["--modes-csv", str(tmp_path / "missing_dir" / "m.csv")],
+        ["--modes-csv", str(tmp_path)],
+        ["--modes-csv", str(modes), "--n-modes", "-2"],
+        ["--modes-csv", str(modes), "--n-modes", "0"],
+        ["--max-modes", "-5"],
+        ["--max-modes", "0"],
+    ):
+        proc = run_cli("schmidt", "--in", str(out / "jsa.bjsa"), *extra)
+        doc = parse_error(proc, 2)
+        assert doc["error"] == "ConfigError", extra
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+    assert not modes.exists()
 
 
 def test_non_numeric_csv_cell_exits_2(tmp_path):
