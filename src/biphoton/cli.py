@@ -141,24 +141,21 @@ def _require(args, *names):
         raise ConfigError(f"missing required flag(s): {flags}")
 
 
-def _apply_config_file(args):
-    """JSON config supplies defaults; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _config_flags(path):
+    """The JSON object in `path` as `--key=value` flags, for argparse to parse like
+    the command line; the `=` form keeps a value such as -1e-3 from reading as a flag."""
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, val)
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise ConfigError(f"config value of {key!r} must be a string or a number")
+    return [f"--{key}={val}" for key, val in cfg.items()]
 
 
 def build_parser():
@@ -166,18 +163,20 @@ def build_parser():
     sub = p.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, help_text):
+    def add(name, run, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON file supplying defaults for any flag")
+        sp.set_defaults(run=run)
+        sp.add_argument("--config", help="JSON file of flag values; explicit flags win")
         return sp
 
-    sp = add("materials", "refractive index, group delay, GVD, walkoff as JSON")
+    sp = add("materials", _cmd_materials, "refractive index, group delay, GVD, walkoff as JSON")
     sp.add_argument("--material")
     sp.add_argument("--ray", choices=["o", "e"])
-    sp.add_argument("--theta-deg", type=float, default=None)
+    sp.add_argument("--theta-deg", type=float, default=90.0)
     sp.add_argument("--lambda-nm", type=float)
 
-    sp = add("analyze", "full source analysis: coefficients, widths, Schmidt metrics")
+    sp = add("analyze", _cmd_analyze,
+             "full source analysis: coefficients, widths, Schmidt metrics")
     sp.add_argument("--material")
     sp.add_argument("--lambda-nm", type=float, help="degenerate PDC wavelength")
     sp.add_argument("--length-mm", type=float)
@@ -190,7 +189,7 @@ def build_parser():
     sp.add_argument("--model", choices=["full_sinc", "gaussian"], default="full_sinc")
     sp.add_argument("--out-dir", help="export jsa.bjsa, jsa.csv, jsi.csv, jti.csv here")
 
-    sp = add("schmidt", "Schmidt metrics of a stored amplitude grid")
+    sp = add("schmidt", _cmd_schmidt, "Schmidt metrics of a stored amplitude grid")
     sp.add_argument("--in", dest="infile", help="input .bjsa or .csv grid")
     sp.add_argument("--filter-kind", choices=["unit", "gaussian", "tophat"], default="unit")
     sp.add_argument("--filter-center-nm", type=float, help="idler filter center wavelength")
@@ -199,20 +198,23 @@ def build_parser():
     sp.add_argument("--modes-csv", help="write leading mode functions here")
     sp.add_argument("--n-modes", type=int, default=4, help="modes in the CSV")
 
-    sp = add("design-gvm", "group-velocity-matched wavelength and decorrelation range")
+    sp = add("design-gvm", _cmd_design_gvm,
+             "group-velocity-matched wavelength and decorrelation range")
     sp.add_argument("--material")
     sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
     sp.add_argument("--window-lo-um", type=float)
     sp.add_argument("--window-hi-um", type=float)
 
-    sp = add("design-asymmetric", "single-matched-photon factorable source report")
+    sp = add("design-asymmetric", _cmd_design_asymmetric,
+             "single-matched-photon factorable source report")
     sp.add_argument("--material")
     sp.add_argument("--lambda-nm", type=float)
     sp.add_argument("--length-mm", type=float)
     sp.add_argument("--pump-fwhm-nm", type=float)
     sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
 
-    sp = add("design-assembly", "crystal/spacer stack with a separable central ridge")
+    sp = add("design-assembly", _cmd_design_assembly,
+             "crystal/spacer stack with a separable central ridge")
     sp.add_argument("--crystal")
     sp.add_argument("--spacer")
     sp.add_argument("--lambda-nm", type=float)
@@ -221,7 +223,8 @@ def build_parser():
     sp.add_argument("--grid-n", type=int, default=256)
     sp.add_argument("--out-dir", help="export the central-ridge JSA grid here")
 
-    sp = add("paper-repro", "run every acceptance scenario, write a pass/fail table")
+    sp = add("paper-repro", _cmd_paper_repro,
+             "run every acceptance scenario, write a pass/fail table")
     sp.add_argument("--out-dir")
 
     return p
@@ -232,18 +235,17 @@ def build_parser():
 
 def _cmd_materials(args):
     _require(args, "material", "ray", "lambda_nm")
-    theta_deg = 90.0 if args.theta_deg is None else args.theta_deg
     model = get_material(args.material)
     lam = um_from_nm(args.lambda_nm)
-    ray = RaySpec(Pol(args.ray), rad_from_deg(theta_deg))
+    ray = RaySpec(Pol(args.ray), rad_from_deg(args.theta_deg))
     w = omega_from_lambda(lam)
     n = refractive_index(model, ray, lam)
     return {
         "command": "materials",
         "material": model.material_id,
         "ray": args.ray,
-        "theta_deg": float(theta_deg),
-        "lambda_nm": float(args.lambda_nm),
+        "theta_deg": args.theta_deg,
+        "lambda_nm": args.lambda_nm,
         "n": float(n),
         "k_rad_um": float(wavenumber(model, ray, w)),
         "k_prime_ps_um": float(inverse_group_velocity(model, ray, w)),
@@ -285,13 +287,13 @@ def _cmd_analyze(args):
         "scheme": args.scheme if args.theta_deg is None else "fixed-angle",
         "theta_deg": deg_from_rad(crystal.theta),
         "qpm_period_um": crystal.qpm_period_um,
-        "lambda_nm": float(args.lambda_nm),
-        "length_mm": float(args.length_mm),
+        "lambda_nm": args.lambda_nm,
+        "length_mm": args.length_mm,
         "model": args.model,
         "pump": {
-            "fwhm_nm": float(args.pump_fwhm_nm),
+            "fwhm_nm": args.pump_fwhm_nm,
             "sigma_rad_ps": sigma,
-            "chirp_ps2": float(args.pump_chirp_ps2),
+            "chirp_ps2": args.pump_chirp_ps2,
         },
         "taylor": asdict(coeffs),
         "factorizability": asdict(factorizability_report(pump, coeffs)),
@@ -372,8 +374,8 @@ def _cmd_schmidt(args):
         "infile": str(args.infile),
         "filter": {
             "kind": args.filter_kind,
-            "center_nm": None if args.filter_center_nm is None else float(args.filter_center_nm),
-            "width_nm": None if args.filter_width_nm is None else float(args.filter_width_nm),
+            "center_nm": args.filter_center_nm,
+            "width_nm": args.filter_width_nm,
         },
         "lambdas": [float(v) for v in lambdas],
         "n_modes_kept": int(spectrum.lambdas.size),
@@ -417,9 +419,9 @@ def _cmd_design_asymmetric(args):
         "material": material.material_id,
         "scheme": args.scheme,
         "theta_deg": deg_from_rad(crystal.theta),
-        "lambda_nm": float(args.lambda_nm),
-        "length_mm": float(args.length_mm),
-        "pump_fwhm_nm": float(args.pump_fwhm_nm),
+        "lambda_nm": args.lambda_nm,
+        "length_mm": args.length_mm,
+        "pump_fwhm_nm": args.pump_fwhm_nm,
         "taylor": asdict(coeffs),
         "factorizability": asdict(report),
         "temporal": asdict(temporal_report(pump, coeffs)),
@@ -749,23 +751,16 @@ def _cmd_paper_repro(args):
 
 # --------------------------------------------------------------------- main
 
-_COMMANDS = {
-    "materials": _cmd_materials,
-    "analyze": _cmd_analyze,
-    "schmidt": _cmd_schmidt,
-    "design-gvm": _cmd_design_gvm,
-    "design-asymmetric": _cmd_design_asymmetric,
-    "design-assembly": _cmd_design_assembly,
-    "paper-repro": _cmd_paper_repro,
-}
-
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
-        report = _COMMANDS[args.command](args)
+        if args.config:
+            # config flags go first: argparse keeps the last value, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        report = args.run(args)
     except (ConfigError, SolverError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")

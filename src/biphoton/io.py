@@ -56,6 +56,8 @@ def read_bjsa(path):
         data = np.frombuffer(fh.read(), dtype="<c16")
     if data.size != n * n:
         raise ConfigError(f"BJSA payload has {data.size} samples, expected {n * n}")
+    if not np.isfinite(data).all():
+        raise ConfigError("BJSA payload holds a NaN or infinite sample")
     grid = FrequencyGrid(omega0=omega0, half_span=half_span, n=n)
     return JointAmplitude(grid, data.reshape(n, n).copy(), domain="spectral")
 
@@ -111,6 +113,8 @@ def read_csv(path):
         raise ConfigError(f"malformed CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 4:
         raise ConfigError("CSV must have exactly four columns")
+    if not np.isfinite(data).all():
+        raise ConfigError("CSV holds a NaN or infinite cell")
     nu_s = np.unique(data[:, 0])
     n = nu_s.size
     if n * n != data.shape[0]:

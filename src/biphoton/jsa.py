@@ -38,8 +38,8 @@ class PumpConfig:
     beta_t: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigError("pump sigma must be positive")
+        if not (0 < self.sigma < np.inf and np.isfinite(self.beta_t)):
+            raise ConfigError("pump sigma must be positive and finite, and beta_t finite")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class CrystalConfig:
     qpm_period_um: float = None
 
     def __post_init__(self):
-        if not self.length_um > 0:
-            raise ConfigError("crystal length must be positive")
+        if not 0 < self.length_um < np.inf:
+            raise ConfigError("crystal length must be positive and finite")
 
     def lambda0_um(self):
         return lambda_from_omega(self.omega0)
@@ -170,10 +170,10 @@ class JointAmplitude:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
 
 
-def default_grid(pump, coeffs, n=256, span_factor=4.0, omega0=None):
+def default_grid(pump, coeffs, n=256, span_factor=4.0):
     sig_s, sig_i = marginal_sigmas(pump, coeffs)
     return FrequencyGrid(
-        omega0=0.5 * pump.omega_p0 if omega0 is None else omega0,
+        omega0=0.5 * pump.omega_p0,
         half_span=span_factor * max(sig_s, sig_i),
         n=n,
     )

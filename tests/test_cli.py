@@ -309,13 +309,10 @@ def test_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_config_file_supplies_defaults(tmp_path):
+def test_config_file_supplies_defaults(tmp_path, kdp_analysis):
+    kdp = {"material": "KDP", "lambda-nm": 830, "length-mm": 20, "pump-fwhm-nm": 5}
     cfg = tmp_path / "kdp.json"
-    cfg.write_text(
-        json.dumps(
-            {"material": "KDP", "lambda-nm": 830, "length-mm": 20, "pump-fwhm-nm": 5}
-        )
-    )
+    cfg.write_text(json.dumps({**kdp, "grid-n": 64}))
     via_flags = run_cli(*ANALYZE_KDP, "--grid-n", "128")
     via_config = run_cli("analyze", "--config", str(cfg), "--grid-n", "128")
     assert via_config.returncode == 0, via_config.stderr
@@ -326,6 +323,42 @@ def test_config_file_supplies_defaults(tmp_path):
     )
     doc = parse_report(override)
     assert doc["lambda_nm"] == 820.0
+    assert doc["grid"]["n"] == 128
+    # a config value replaces a flag's default
+    cfg.write_text(json.dumps({**kdp, "grid-n": 64, "model": "gaussian"}))
+    doc = parse_report(run_cli("analyze", "--config", str(cfg)))
+    assert (doc["grid"]["n"], doc["model"]) == (64, "gaussian")
+    # the key of `--in` is "in"
+    grid = str(kdp_analysis[1] / "jsa.bjsa")
+    cfg.write_text(json.dumps({"in": grid}))
+    via_config = run_cli("schmidt", "--config", str(cfg))
+    assert parse_report(via_config)["infile"] == grid
+    assert via_config.stdout == run_cli("schmidt", "--in", grid).stdout
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("materials", {"ray": "x"}),
+        ("materials", {"lambda-nm": "abc"}),
+        ("materials", {"lambda-nm": [800]}),
+        ("design-assembly", {"n-crystals": 2.5}),
+        ("materials", {"material": None}),
+        ("materials", {"material": True}),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, command, bad):
+    good = {
+        "materials": {"material": "BBO", "ray": "o", "lambda-nm": 800},
+        "design-assembly": {
+            "crystal": "BBO", "spacer": "CALCITE", "lambda-nm": 800, "n-crystals": 10, "m": 10
+        },
+    }[command]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**good, **bad}))
+    proc = run_cli(command, "--config", str(cfg))
+    assert parse_error(proc, 2)["error"] == "ConfigError"
+    assert proc.stdout == ""
 
 
 def test_materials_database_env_override(tmp_path):
@@ -414,6 +447,17 @@ def test_non_numeric_csv_cell_exits_2(tmp_path):
     assert "malformed CSV" in doc["message"]
 
 
+def test_non_finite_grid_sample_exits_2(tmp_path, kdp_analysis):
+    ja = read_bjsa(kdp_analysis[1] / "jsa.bjsa")
+    ja.values[3, 5] = np.nan
+    for name, write in (("nan.bjsa", bp.write_bjsa), ("nan.csv", bp.write_csv)):
+        path = tmp_path / name
+        write(ja, path)
+        proc = run_cli("schmidt", "--in", str(path))
+        assert parse_error(proc, 2)["error"] == "ConfigError"
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_non_finite_grid_span_exits_2(tmp_path):
     n = 32
     path = tmp_path / "nan.bjsa"
@@ -450,6 +494,8 @@ def test_bad_filter_exits_2(kdp_analysis):
     [
         "materials --material BBO --ray o --lambda-nm nan",
         "design-asymmetric --material KDP --lambda-nm 830 --length-mm nan --pump-fwhm-nm 5",
+        "design-asymmetric --material KDP --lambda-nm 830 --length-mm 20 --pump-fwhm-nm inf",
+        "design-asymmetric --material KDP --lambda-nm 830 --length-mm inf --pump-fwhm-nm 5",
         "design-gvm --material KTP --scheme qpm --window-lo-um 2.0 --window-hi-um 1.3",
         "design-gvm --material KTP --scheme qpm --window-lo-um nan --window-hi-um 2.0",
     ],
@@ -479,6 +525,9 @@ def test_bad_config_file_exits_2(tmp_path):
     proc = run_cli("design-gvm", "--material", "BBO", "--config", str(cfg))
     doc = parse_error(proc, 2)
     assert "bogus-key" in doc["message"]
+    cfg.write_bytes(b'\xff{"material": "BBO"}')
+    proc = run_cli("design-gvm", "--material", "BBO", "--config", str(cfg))
+    assert "not valid JSON" in parse_error(proc, 2)["message"]
 
 
 def test_no_phasematch_exits_3():

@@ -134,3 +134,23 @@ def test_bjsa_header_n_must_be_an_integer(tmp_path, n_header):
     path.write_bytes(head + np.ones(32 * 32, dtype="<c16").tobytes())
     with pytest.raises(bp.ConfigError, match="not an integer"):
         io.read_bjsa(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bjsa_rejects_non_finite_samples(tmp_path, bad):
+    ja = _sample_amplitude(n=32)
+    ja.values[3, 5] = bad
+    path = tmp_path / "bad.bjsa"
+    io.write_bjsa(ja, path)
+    with pytest.raises(bp.ConfigError, match="NaN or infinite"):
+        io.read_bjsa(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_csv_rejects_non_finite_cells(tmp_path, bad):
+    ja = _sample_amplitude(n=32)
+    ja.values[3, 5] = bad
+    path = tmp_path / "bad.csv"
+    io.write_csv(ja, path)
+    with pytest.raises(bp.ConfigError, match="NaN or infinite"):
+        io.read_csv(path)

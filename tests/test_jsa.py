@@ -166,11 +166,14 @@ def test_grid_validation():
 
 def test_nan_length_and_pump_width_rejected(db):
     w0 = bp.omega_from_lambda(0.83)
-    for bad in (0.0, float("nan")):
+    for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(bp.ConfigError):
             CrystalConfig(db["KDP"], length_um=bad, theta=1.0, omega0=w0)
         with pytest.raises(bp.ConfigError):
             PumpConfig(omega_p0=2.0 * w0, sigma=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(bp.ConfigError):
+            PumpConfig(omega_p0=2.0 * w0, sigma=40.0, beta_t=bad)
 
 
 def test_degenerate_grid_rejected(kdp_source):
