@@ -349,7 +349,8 @@ def _build_filter(args):
 
 
 def _cmd_schmidt(args):
-    _require(args, "infile")
+    if args.infile is None:  # the flag is --in, not the attribute name
+        raise ConfigError("missing required flag(s): --in")
     if args.max_modes < 1 or args.n_modes < 1:
         raise ConfigError("--max-modes and --n-modes must be at least 1")
     ja = _load_amplitude(args.infile)

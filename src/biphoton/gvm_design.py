@@ -48,12 +48,16 @@ class FactorizabilityReport:
     gvm_residual: float
 
 
+def _separable_sigma(coeffs):
+    """Pump sigma that closes condition (1); None unless tau_s tau_i < 0."""
+    ts, ti = coeffs.tau_s, coeffs.tau_i
+    return float(2.0 / np.sqrt(-GAMMA_SINC * ts * ti)) if ts * ti < 0 else None
+
+
 def factorizability_report(pump, coeffs):
-    g = GAMMA_SINC
     ts, ti = coeffs.tau_s, coeffs.tau_i
     base = 4.0 / pump.sigma**2
-    cond1 = (base + g * ts * ti) / base
-    required = 2.0 / np.sqrt(-g * ts * ti) if ts * ti < 0 else None
+    cond1 = (base + GAMMA_SINC * ts * ti) / base
     sig_s, sig_i = marginal_sigmas(pump, coeffs)
     r = max(sig_s / sig_i, sig_i / sig_s)
     if ti != 0.0:
@@ -62,7 +66,7 @@ def factorizability_report(pump, coeffs):
         theta = 90.0
     return FactorizabilityReport(
         cond1_residual=float(cond1),
-        required_sigma=required if required is None else float(required),
+        required_sigma=_separable_sigma(coeffs),
         beta_t_star=float(-coeffs.beta_p / 4.0),
         sigma_s=float(sig_s),
         sigma_i=float(sig_i),
@@ -78,11 +82,7 @@ def solve_pump_bandwidth(crystal):
     None when tau_s tau_i >= 0, i.e. the pump group velocity does not lie
     between the two photon group velocities.
     """
-    coeffs = taylor_coefficients(crystal)
-    prod = coeffs.tau_s * coeffs.tau_i
-    if prod >= 0:
-        return None
-    return float(2.0 / np.sqrt(-GAMMA_SINC * prod))
+    return _separable_sigma(taylor_coefficients(crystal))
 
 
 def _mismatch_curves(material, scheme, roles, lambdas):

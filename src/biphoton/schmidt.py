@@ -1,8 +1,8 @@
 """Schmidt decomposition, entanglement measures, and heralded-state metrics.
 
-The discrete amplitude is turned into a Hilbert-Schmidt kernel by the
-trapezoid quadrature weight: A = f dnu, so the singular values squared are
-the Schmidt weights lambda_n and sum lambda_n = 1 for a normalized amplitude.
+A = f dnu (the trapezoid weight) is a Hilbert-Schmidt kernel; its normalized
+squared singular values are the Schmidt weights, the one spectrum that K, S,
+heralded purity and herald rate (relative to the pair rate) all come from.
 """
 
 from dataclasses import dataclass
@@ -39,9 +39,9 @@ def schmidt_decompose(ja):
     total = w.sum()
     if total <= 0:
         raise NumericalFailure("amplitude has zero norm")
-    # validate the factorization itself before discarding negligible weights
+    # validate the factorization, relative to |A|_F, before discarding weights
     err = np.linalg.norm((u * s) @ vh - A)
-    if err > 1e-8:
+    if err > 1e-8 * np.sqrt(total):
         raise NumericalFailure(f"Schmidt reconstruction error {err:.3e}")
     lam = w / total
     keep = lam >= TRUNCATION * lam[0]
@@ -102,23 +102,19 @@ class SpectralFilter:
         return np.where(np.abs(w - self.center) <= 0.5 * self.width, 1.0, 0.0)
 
 
-def heralded_state(ja, filt=None):
-    """Signal density matrix after a filtered idler detection.
+def heralded_state(spectrum, transmission):
+    """Signal density matrix in the kept Schmidt basis behind an idler filter.
 
-    Returns (rho, herald_rate): rho is Hermitian, PSD, unit trace in the
-    discrete mode basis; herald_rate is the pre-normalization trace, the
-    heralding probability relative to the unfiltered pair rate.
+    With V the kept idler modes and `transmission` the filter's |T|^2 on the
+    idler axis, M = sqrt(lambda) V^H diag(transmission) V sqrt(lambda) (r x r).
+    Returns (M / tr M made Hermitian, herald_rate = tr M per unfiltered pair).
     """
-    if filt is None:
-        filt = SpectralFilter.unit()
-    A = ja.values * ja.grid.spacing
-    omega = ja.grid.omega0 + ja.grid.axis()
-    weights = filt.amplitude_transmission(omega) ** 2
-    rho_raw = (A * weights[None, :]) @ A.conj().T
-    rate = float(np.trace(rho_raw).real)
+    v, root = spectrum.idler_modes, np.sqrt(spectrum.lambdas)
+    m = root[:, None] * ((v.T * transmission) @ v.conj()) * root[None, :]
+    rate = float(np.trace(m).real)
     if not rate >= 1e-30:
         raise ZeroHeraldRate("filter passes no amplitude on this grid")
-    rho = rho_raw / rate
+    rho = m / rate
     return 0.5 * (rho + rho.conj().T), rate
 
 
@@ -139,9 +135,11 @@ class HeraldMetrics:
 
 
 def herald_metrics(ja, filt=None):
-    """Schmidt measures plus heralded purity and rate in one pass."""
+    """Schmidt measures plus heralded purity and rate from one decomposition."""
     spectrum = schmidt_decompose(ja)
-    rho, rate = heralded_state(ja, filt)
+    omega = ja.grid.omega0 + ja.grid.axis()
+    transmission = (filt or SpectralFilter.unit()).amplitude_transmission(omega) ** 2
+    rho, rate = heralded_state(spectrum, transmission)
     return HeraldMetrics(
         purity=purity(rho),
         cooperativity_K=cooperativity(spectrum),

@@ -197,6 +197,20 @@ def test_schmidt_filtered(kdp_analysis):
     assert doc["herald_rate"] < unfiltered["herald_rate"]
 
 
+def test_schmidt_metrics_ignore_grid_scale(kdp_analysis, tmp_path):
+    # K, purity and the herald rate (per unfiltered pair) describe the state,
+    # not the overall scale of the stored amplitude
+    _, out = kdp_analysis
+    ja = read_bjsa(out / "jsa.bjsa")
+    base = parse_report(run_cli("schmidt", "--in", str(out / "jsa.bjsa")))
+    for scale in (1e-30, 3.0, 1e8):
+        path = tmp_path / f"scaled_{scale:g}.bjsa"
+        bp.write_bjsa(bp.JointAmplitude(ja.grid, ja.values * scale), path)
+        doc = parse_report(run_cli("schmidt", "--in", str(path)))
+        for key in ("K", "purity", "herald_rate"):
+            assert doc[key] == pytest.approx(base[key], rel=1e-12), (scale, key)
+
+
 def test_design_gvm_matches_library(db):
     proc = run_cli("design-gvm", "--material", "KTP", "--scheme", "qpm")
     doc = parse_report(proc)
@@ -391,12 +405,16 @@ def test_materials_database_env_override(tmp_path):
 
 
 def test_missing_flag_exits_2():
-    proc = run_cli("materials", "--material", "KDP", "--ray", "o")
-    doc = parse_error(proc, 2)
-    assert doc["error"] == "ConfigError"
-    assert "--lambda-nm" in doc["message"]
-    assert proc.stdout == ""
-    assert len(proc.stderr.strip().splitlines()) == 1
+    for argv, flag in (
+        (("materials", "--material", "KDP", "--ray", "o"), "--lambda-nm"),
+        (("schmidt",), "--in"),
+    ):
+        proc = run_cli(*argv)
+        doc = parse_error(proc, 2)
+        assert doc["error"] == "ConfigError"
+        assert doc["message"] == f"missing required flag(s): {flag}"
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_unknown_material_exits_2():
