@@ -3,6 +3,23 @@
 A = f dnu (the trapezoid weight) is a Hilbert-Schmidt kernel; its normalized
 squared singular values are the Schmidt weights, the one spectrum that K, S,
 heralded purity and herald rate (relative to the pair rate) all come from.
+
+`schmidt_decompose` divides A by its largest |entry|, so the weights do not
+depend on the amplitude's overall scale. Joint amplitudes are nearly low rank,
+so it first builds an orthonormal basis Q of A's range with the adaptive
+randomized range finder of Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011),
+Alg. 4.2 and Sec. 4.3: Gaussian sketches from a fixed seed, one power
+iteration per block and QR re-orthonormalization. Q grows a block at a time;
+each new block's sketch first serves as a probe that estimates
+||A - Q Q^H A||_F, and the loop stops once that estimate is below a tenth of
+RESIDUAL * ||A||_F. The SVD of the small Q^H A then gives the spectrum. If the
+singular values of the first sketch, continued at their own geometric decay,
+do not fall to that level within n/4 columns (strongly chirped sources), or if
+n < 128, one dense SVD of A is taken instead, so a high-rank grid costs the
+dense SVD plus that one sketch. Either way the returned factorization must
+reproduce A to RESIDUAL * ||A||_F, checked exactly (||A - Q Q^H A||_F on the
+low-rank path), or NumericalFailure is raised. The seed is fixed, so the same
+grid gives the same spectrum bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,6 +30,12 @@ from .errors import ConfigError, NumericalFailure, ZeroHeraldRate
 
 #: Schmidt weights below this fraction of the leading one are discarded
 TRUNCATION = 1e-12
+#: the factorization must reproduce A to this fraction of ||A||_F
+RESIDUAL = 1e-8
+#: columns of the first range sketch and of each later block
+FIRST_BLOCK, BLOCK = 32, 16
+#: seed of the Gaussian range sketches
+SKETCH_SEED = 2011
 
 
 @dataclass(frozen=True)
@@ -29,25 +52,96 @@ class SchmidtSpectrum:
 
 
 def schmidt_decompose(ja):
-    """SVD of the quadrature-weighted amplitude."""
-    A = ja.values * ja.grid.spacing
+    """Schmidt weights and phase-fixed modes of the quadrature-weighted amplitude.
+
+    Low-rank range finder first, one dense SVD for high-rank grids (see the
+    module docstring). Each pair's phase is rotated so that the largest entry of
+    the signal mode is real and positive (the first entry within 1e-6 of the
+    largest magnitude, so mirror-image ties do not depend on rounding); the
+    idler mode takes the opposite rotation, leaving u s v^H unchanged.
+    """
+    scale = np.max(np.abs(ja.values))
+    if scale == 0:
+        raise NumericalFailure("amplitude has zero norm")
+    if not scale < np.inf:
+        raise NumericalFailure("amplitude is not finite")
+    a = ja.values / scale
+    norm = np.linalg.norm(a)
     try:
-        u, s, vh = np.linalg.svd(A, full_matrices=False)
+        found = _range_basis(a, norm)
+        if found is None:
+            u, s, vh = np.linalg.svd(a, full_matrices=False)
+            err = np.linalg.norm((u * s) @ vh - a)
+        else:
+            q, b, err = found
+            u, s, vh = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
+    if err > RESIDUAL * norm:
+        raise NumericalFailure(f"Schmidt reconstruction error {err / norm:.3e} of |A|_F")
     w = s**2
-    total = w.sum()
-    if total <= 0:
-        raise NumericalFailure("amplitude has zero norm")
-    # validate the factorization, relative to |A|_F, before discarding weights
-    err = np.linalg.norm((u * s) @ vh - A)
-    if err > 1e-8 * np.sqrt(total):
-        raise NumericalFailure(f"Schmidt reconstruction error {err:.3e}")
-    lam = w / total
+    lam = w / w.sum()
     keep = lam >= TRUNCATION * lam[0]
+    u = u[:, keep] if found is None else q @ u[:, keep]
+    mag = np.abs(u)
+    peak = np.argmax(mag >= (1.0 - 1e-6) * mag.max(axis=0), axis=0)
+    cols = np.arange(u.shape[1])
+    phase = u[peak, cols] / mag[peak, cols]
     return SchmidtSpectrum(
-        lambdas=lam[keep], signal_modes=u[:, keep], idler_modes=vh[keep, :].T
+        lambdas=lam[keep], signal_modes=u * phase.conj(), idler_modes=vh[keep, :].T * phase
     )
+
+
+def _range_basis(a, norm):
+    """(Q, Q^H A, ||A - Q Q^H A||_F) with that residual <= RESIDUAL * ||A||_F,
+    or None when n < 4 FIRST_BLOCK or the spectrum will not settle within n/4
+    columns."""
+    import numpy.random  # here, so that `import biphoton` does not load it
+
+    n = a.shape[1]
+    cap = n // 4
+    if FIRST_BLOCK > cap:
+        return None
+    target = RESIDUAL * norm
+    sketch = numpy.random.default_rng(SKETCH_SEED).standard_normal
+    y, r = np.linalg.qr(a @ sketch((n, FIRST_BLOCK)))
+    # the sketch's singular values are about sqrt(FIRST_BLOCK) times A's
+    if _columns_needed(np.linalg.svd(r, compute_uv=False), target * np.sqrt(FIRST_BLOCK)) > cap:
+        return None
+    q = np.empty((n, 0), dtype=a.dtype)
+    while True:
+        # one power iteration on the new block, then orthonormal to Q twice
+        w = _project_out(q, a @ _orth((y.conj().T @ a).conj().T))
+        q = np.hstack([q, _orth(_project_out(q, _orth(w)))])
+        # the next block's sketch is also the probe: for Gaussian x,
+        # E |(I - Q Q^H) A x|^2 = ||(I - Q Q^H) A||_F^2
+        y = _project_out(q, a @ sketch((n, BLOCK)))
+        if np.linalg.norm(y) <= 0.1 * target * np.sqrt(BLOCK):
+            b = q.conj().T @ a
+            err = np.linalg.norm(a - q @ b)
+            if err <= target:
+                return q, b, err
+        if q.shape[1] + BLOCK > cap:
+            return None
+        y = _orth(y)
+
+
+def _columns_needed(s, target):
+    """Columns after which the descending values s, continued at the
+    geometric rate of their second half, fall to `target`."""
+    if s[-1] <= target:
+        return s.size
+    half = s.size // 2
+    rate = (s[-1] / s[half]) ** (1.0 / (s.size - 1 - half))
+    return s.size + np.log(target / s[-1]) / np.log(rate) if rate < 1.0 else np.inf
+
+
+def _orth(x):
+    return np.linalg.qr(x)[0]
+
+
+def _project_out(q, x):
+    return x - q @ (q.conj().T @ x)
 
 
 def cooperativity(spectrum):

@@ -199,16 +199,19 @@ def test_schmidt_filtered(kdp_analysis):
 
 def test_schmidt_metrics_ignore_grid_scale(kdp_analysis, tmp_path):
     # K, purity and the herald rate (per unfiltered pair) describe the state,
-    # not the overall scale of the stored amplitude
+    # not the overall scale of the stored amplitude; at 1e-160 the squared
+    # singular values of the raw grid go subnormal and at 1e160 they overflow
     _, out = kdp_analysis
     ja = read_bjsa(out / "jsa.bjsa")
-    base = parse_report(run_cli("schmidt", "--in", str(out / "jsa.bjsa")))
-    for scale in (1e-30, 3.0, 1e8):
-        path = tmp_path / f"scaled_{scale:g}.bjsa"
-        bp.write_bjsa(bp.JointAmplitude(ja.grid, ja.values * scale), path)
-        doc = parse_report(run_cli("schmidt", "--in", str(path)))
-        for key in ("K", "purity", "herald_rate"):
-            assert doc[key] == pytest.approx(base[key], rel=1e-12), (scale, key)
+    filt = ("--filter-kind", "gaussian", "--filter-center-nm", "830", "--filter-width-nm", "3")
+    for extra in ((), filt):
+        base = parse_report(run_cli("schmidt", "--in", str(out / "jsa.bjsa"), *extra))
+        for scale in (1e-160, 1e-30, 3.0, 1e8, 1e160):
+            path = tmp_path / f"scaled_{scale:g}.bjsa"
+            bp.write_bjsa(bp.JointAmplitude(ja.grid, ja.values * scale), path)
+            doc = parse_report(run_cli("schmidt", "--in", str(path), *extra))
+            for key in ("K", "purity", "herald_rate"):
+                assert doc[key] == pytest.approx(base[key], rel=1e-12), (scale, extra, key)
 
 
 def test_design_gvm_matches_library(db):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import schmidt
 from biphoton.schmidt import (
+    TRUNCATION,
     SpectralFilter,
     cooperativity,
     entropy,
@@ -28,6 +33,28 @@ def dense_heralded_state(ja, filt):
     rate = float(np.trace(rho_raw).real)
     rho = rho_raw / rate
     return 0.5 * (rho + rho.conj().T), rate / float(np.sum(np.abs(A) ** 2))
+
+
+def dense_spectrum(ja):
+    """Reference path: Schmidt weights from a dense SVD of the same A, cut at TRUNCATION."""
+    s = np.linalg.svd(ja.values * ja.grid.spacing, compute_uv=False)
+    lam = s**2 / np.sum(s**2)
+    return lam[lam >= TRUNCATION * lam[0]]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Records, per schmidt_decompose call, whether it took the low-rank path."""
+    taken = []
+    low_rank = schmidt._range_basis
+
+    def spy(a, norm):
+        found = low_rank(a, norm)
+        taken.append("dense" if found is None else "low-rank")
+        return found
+
+    monkeypatch.setattr(schmidt, "_range_basis", spy)
+    return taken
 
 
 def test_separable_amplitude_is_rank_one():
@@ -102,6 +129,12 @@ def test_zero_amplitude_raises():
     ja = bp.JointAmplitude(grid, np.zeros((64, 64), dtype=complex))
     with pytest.raises(bp.NumericalFailure):
         schmidt_decompose(ja)
+    # a non-finite entry cannot be scaled away
+    for bad in (np.inf, np.nan):
+        vals = np.ones((64, 64), dtype=complex)
+        vals[3, 5] = bad
+        with pytest.raises(bp.NumericalFailure, match="not finite"):
+            schmidt_decompose(bp.JointAmplitude(grid, vals))
 
 
 def test_unfiltered_heralded_state_matches_schmidt_spectrum():
@@ -186,8 +219,9 @@ def test_herald_metrics_consistency(kdp_jsa):
 
 
 @pytest.fixture(scope="module")
-def herald_sources(db, kdp_jsa, stack_design):
-    """KDP, the isolated assembly ridge, BBO 5 mm / 10 nm and a Mehler Gaussian."""
+def herald_sources(db, kdp_source, kdp_jsa, stack_design):
+    """KDP at n=256 and 1024, the isolated assembly ridge, BBO 5 mm / 10 nm and
+    a Mehler Gaussian."""
     cfg = bp.assembly_config_from_design(stack_design, db["BBO"], db["CALCITE"])
     omega0 = cfg.crystal.omega0
     pump = bp.PumpConfig(omega_p0=2.0 * omega0, sigma=stack_design.sigma_pump_rad_ps)
@@ -200,26 +234,108 @@ def herald_sources(db, kdp_jsa, stack_design):
     pump = bp.PumpConfig(omega_p0=2.0 * bbo.omega0, sigma=bp.sigma_from_fwhm_nm(10.0, 0.4))
     coeffs = bp.taylor_coefficients(bbo)
     bbo_jsa = bp.jsa_grid(pump, bbo, bp.default_grid(pump, coeffs, n=256))
+    crystal, pump, coeffs = kdp_source
     return {
         "kdp": kdp_jsa,
+        "kdp1024": bp.jsa_grid(pump, crystal, bp.default_grid(pump, coeffs, n=1024)),
         "ridge": ridge,
         "bbo": bbo_jsa,
         "mehler": correlated_gaussian(30.0, 10.0),
     }
 
 
+def clipping_filter(grid, kind):
+    """Unit, or a Gaussian or top-hat band that clips the source, so purity
+    and rate both move."""
+    if kind == "unit":
+        return SpectralFilter.unit()
+    width = {"gaussian": 0.3, "tophat": 0.4}[kind] * grid.half_span
+    return SpectralFilter(kind, grid.omega0, width)
+
+
 @pytest.mark.parametrize("kind", ["unit", "gaussian", "tophat"])
 @pytest.mark.parametrize("source", ["kdp", "ridge", "bbo", "mehler"])
 def test_herald_metrics_match_dense_reference(herald_sources, source, kind):
     ja = herald_sources[source]
-    grid = ja.grid
-    if kind == "unit":
-        filt = SpectralFilter.unit()
-    else:
-        # a band that clips the source, so purity and rate both move
-        width = {"gaussian": 0.3, "tophat": 0.4}[kind] * grid.half_span
-        filt = SpectralFilter(kind, grid.omega0, width)
+    filt = clipping_filter(ja.grid, kind)
     m = herald_metrics(ja, filt)
     rho, rate = dense_heralded_state(ja, filt)
     assert abs(m.purity - purity(rho)) <= 1e-11 * purity(rho)
     assert abs(m.herald_rate - rate) <= 1e-11 * rate
+
+
+@pytest.mark.parametrize(
+    "source, kind, path",
+    [
+        ("kdp", "unit", "low-rank"),
+        ("kdp", "gaussian", "low-rank"),
+        ("kdp", "tophat", "low-rank"),
+        ("kdp1024", "unit", "low-rank"),
+        # the hard edges of the isolating mask leave 121 weights above the cut
+        ("ridge", "unit", "dense"),
+        ("bbo", "unit", "low-rank"),
+        ("mehler", "unit", "low-rank"),
+    ],
+)
+def test_spectrum_matches_dense_svd(herald_sources, paths, source, kind, path):
+    ja = herald_sources[source]
+    filt = clipping_filter(ja.grid, kind)
+    m = herald_metrics(ja, filt)
+    assert paths == [path]
+    lam = dense_spectrum(ja)
+    rho, rate = dense_heralded_state(ja, filt)
+    assert m.spectrum.lambdas.size == lam.size
+    assert np.max(np.abs(m.spectrum.lambdas - lam)) <= 1e-10
+    K = 1.0 / np.sum(lam**2)
+    assert abs(m.cooperativity_K - K) <= 1e-10 * K
+    assert abs(m.purity - purity(rho)) <= 1e-10 * purity(rho)
+    assert abs(m.herald_rate - rate) <= 1e-10 * rate
+
+
+@pytest.fixture(scope="module")
+def chirped_kdp(kdp_source):
+    """KDP 830 nm / 20 mm / 5 nm with a 0.015 ps^2 pump chirp at n=512: the
+    singular values fall only to sigma_128 / sigma_0 = 4e-3 over the first n/4."""
+    crystal, pump, coeffs = kdp_source
+    chirped = bp.PumpConfig(omega_p0=pump.omega_p0, sigma=pump.sigma, beta_t=0.015)
+    return bp.jsa_grid(chirped, crystal, bp.default_grid(chirped, coeffs, n=512))
+
+
+def test_high_rank_grid_takes_the_dense_path(chirped_kdp, paths, monkeypatch):
+    # decided from the first sketch alone: no power iteration, no grown block
+    blocks = []
+    monkeypatch.setattr(schmidt, "_orth", lambda x: blocks.append(x) or np.linalg.qr(x)[0])
+    spec = schmidt_decompose(chirped_kdp)
+    assert paths == ["dense"] and blocks == []
+    lam = dense_spectrum(chirped_kdp)
+    assert spec.lambdas.size == lam.size > 128
+    assert np.max(np.abs(spec.lambdas - lam)) <= 1e-10
+
+
+def test_repeated_calls_are_bit_identical(kdp_jsa, chirped_kdp):
+    for ja in (kdp_jsa, chirped_kdp):
+        first, second = schmidt_decompose(ja), schmidt_decompose(ja)
+        for key in ("lambdas", "signal_modes", "idler_modes"):
+            assert np.array_equal(getattr(first, key), getattr(second, key)), key
+
+
+def test_mode_phases_do_not_depend_on_the_path(kdp_jsa, monkeypatch):
+    low_rank = schmidt_decompose(kdp_jsa)
+    monkeypatch.setattr(schmidt, "_range_basis", lambda a, norm: None)
+    dense = schmidt_decompose(kdp_jsa)
+    for key in ("signal_modes", "idler_modes"):
+        diff = getattr(low_rank, key)[:, :3] - getattr(dense, key)[:, :3]
+        assert np.max(np.abs(diff)) <= 1e-8, key
+    for spec in (low_rank, dense):
+        u = spec.signal_modes
+        peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        assert np.all(peak.real > 0.0) and np.max(np.abs(peak.imag)) < 1e-12 * np.max(np.abs(u))
+        # the idler mode takes the opposite rotation: sum_j s_j u_j v_j^T is still A
+        A = kdp_jsa.values * kdp_jsa.grid.spacing
+        approx = (u * np.sqrt(spec.lambdas)) @ spec.idler_modes.T
+        assert np.linalg.norm(approx - A / np.linalg.norm(A)) < 1e-5
+
+
+def test_import_leaves_numpy_random_out():
+    code = "import sys, biphoton; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
