@@ -7,101 +7,61 @@ geometric sum over periods:
 
     phi_N = exp(i (N-1) Phi / 2) sin(N Phi / 2) / sin(Phi / 2) * phi_1
 
+A single crystal is the stack with N = 1 and jsa evaluates both: a poled crystal
+keeps its grating inside D_c, and the spacer is unpoled, cut at theta = pi/2.
+
 The spacer is chosen so that its carrier mismatch rewinds an integer number of
 2 pi turns (h = m h_min) while its group-velocity mismatch cancels the
 crystal's, which symmetrizes the central ridge and steers its slope to +1.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .constants import C_UM_PS, GAMMA_SINC2, omega_from_lambda
+from .constants import C_UM_PS, GAMMA_SINC2, domega_from_dlambda, omega_from_lambda
 from .errors import ConfigError, NoOppositeSign, ZeroMismatch
+# upsilon lives beside the stack evaluator in jsa and is re-exported here
 from .jsa import (
+    _SPACER_THETA,
     CrystalConfig,
     FrequencyGrid,
+    _check_carrier,
     _normalized,
-    mismatch_on_grid,
-    phasematching,
-    pump_envelope,
+    _stack_on_grid,
+    _stack_phasematching,
+    upsilon,
 )
 from .materials import DEFAULT_ROLES, forward_mismatch, group_delays, phasematching_angle
 
 
-def upsilon(n_crystals, x):
-    """Normalized Dirichlet kernel sin(N x) / (N sin x), array-capable.
-
-    The removable singularities at x = k pi evaluate to (-1)^{k (N-1)}, so the
-    peak values are exactly +-1.
-    """
-    n = int(n_crystals)
-    if n < 1:
-        raise ConfigError("n_crystals must be at least 1")
-    xa = np.asarray(x, dtype=float)
-    s = np.sin(xa)
-    near = np.abs(s) < 1e-9
-    k = np.rint(xa / np.pi)
-    limit = np.where(((n - 1) * k.astype(np.int64)) % 2 == 0, 1.0, -1.0)
-    safe = np.where(near, 1.0, s)
-    out = np.where(near, limit, np.sin(n * xa) / (n * safe))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class AssemblyConfig:
-    """A crystal stack: crystal config, spacer medium, and geometry."""
+    """A crystal stack: crystal config, spacer medium (None for one crystal), geometry."""
 
     crystal: CrystalConfig
     spacer_material: object
     spacer_h_um: float
     n_crystals: int
-    spacer_theta: float = np.pi / 2
-    spacer_roles: object = None
 
     def __post_init__(self):
         if self.n_crystals < 1:
             raise ConfigError("n_crystals must be at least 1")
-        if self.spacer_h_um < 0:
-            raise ConfigError("spacer thickness must be nonnegative")
-
-    def roles_in_spacer(self):
-        return self.spacer_roles if self.spacer_roles is not None else self.crystal.roles
-
-
-def _stack_phasematching(cfg, mismatch):
-    """Single-crystal sinc times the exact N-period geometric sum.
-
-    mismatch(material, theta, roles) returns D = k_s + k_i - k_p on the
-    caller's points, a grid or arbitrary detunings.
-    """
-    cr = cfg.crystal
-    dc = mismatch(cr.material, cr.theta, cr.roles)
-    single = phasematching(dc, cr.length_um)
-    n = cfg.n_crystals
-    if n == 1:
-        return single
-    dsp = mismatch(cfg.spacer_material, cfg.spacer_theta, cfg.roles_in_spacer())
-    phi = cr.length_um * dc + cfg.spacer_h_um * dsp
-    return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
+        if not 0 <= self.spacer_h_um < np.inf:
+            raise ConfigError("spacer thickness must be nonnegative and finite")
+        if self.n_crystals > 1 and self.spacer_material is None:
+            raise ConfigError("a stack of more than one crystal needs a spacer material")
 
 
 def assembly_phasematching(cfg, nu_s, nu_i):
     """Complex N-crystal phasematching at arbitrary detunings, full dispersion."""
-    mismatch = partial(forward_mismatch, omega0=cfg.crystal.omega0, nu_s=nu_s, nu_i=nu_i)
-    return _stack_phasematching(cfg, mismatch)
+    return _stack_phasematching(cfg.crystal, forward_mismatch, (nu_s, nu_i), cfg)
 
 
 def assembly_jsa_grid(pump, cfg, grid):
     """Normalized assembly joint amplitude on a square grid."""
-    if abs(pump.omega_p0 - 2.0 * cfg.crystal.omega0) > 1e-9 * pump.omega_p0:
-        raise ConfigError("pump carrier must be twice the downconversion carrier")
-    mismatch = partial(mismatch_on_grid, omega0=cfg.crystal.omega0, grid=grid)
-    values = _stack_phasematching(cfg, mismatch)
-    nu = grid.axis()
-    values *= pump_envelope(pump, nu[:, None] + nu[None, :])
-    return _normalized(grid, values)
+    _check_carrier(pump, cfg.crystal)
+    return _stack_on_grid(pump, cfg.crystal, grid, cfg)
 
 
 def _unit_mismatch_sums(material, theta, roles, omega0):
@@ -111,13 +71,7 @@ def _unit_mismatch_sums(material, theta, roles, omega0):
 
 
 def generalized_gvm_ratio(
-    crystal_material,
-    spacer_material,
-    lambda_um,
-    theta_crystal,
-    theta_spacer=np.pi / 2,
-    roles=DEFAULT_ROLES,
-    spacer_roles=None,
+    crystal_material, spacer_material, lambda_um, theta_crystal, roles=DEFAULT_ROLES
 ):
     """h/L nulling the period-averaged group-velocity mismatch, or None.
 
@@ -126,15 +80,13 @@ def generalized_gvm_ratio(
     """
     w0 = omega_from_lambda(lambda_um)
     mc, _, _ = _unit_mismatch_sums(crystal_material, theta_crystal, roles, w0)
-    msp, _, _ = _unit_mismatch_sums(
-        spacer_material, theta_spacer, spacer_roles or roles, w0
-    )
+    msp, _, _ = _unit_mismatch_sums(spacer_material, _SPACER_THETA, roles, w0)
     if mc == 0.0 or msp == 0.0 or np.sign(mc) == np.sign(msp):
         return None
     return float(-mc / msp)
 
 
-def quantize_spacer(spacer_material, lambda_um, m_integer, theta=np.pi / 2, roles=DEFAULT_ROLES):
+def quantize_spacer(spacer_material, lambda_um, m_integer, roles=DEFAULT_ROLES):
     """(h_min, h): thicknesses whose carrier phase is an exact 2 pi multiple.
 
     h_min = 2 pi / |delta_kappa0|; h = m h_min keeps every crystal's central
@@ -143,7 +95,7 @@ def quantize_spacer(spacer_material, lambda_um, m_integer, theta=np.pi / 2, role
     if int(m_integer) < 1:
         raise ConfigError("m must be a positive integer")
     w0 = omega_from_lambda(lambda_um)
-    dk0 = -forward_mismatch(spacer_material, theta, roles, w0, 0.0, 0.0)
+    dk0 = -forward_mismatch(spacer_material, _SPACER_THETA, roles, w0, 0.0, 0.0)
     if abs(dk0) < 1e-9:
         raise ZeroMismatch("spacer carrier mismatch vanishes; nothing to quantize")
     h_min = 2.0 * np.pi / abs(dk0)
@@ -184,14 +136,7 @@ class AssemblyDesign:
 
 
 def design_assembly(
-    crystal_material,
-    spacer_material,
-    lambda_um,
-    n_crystals,
-    m_integer,
-    roles=DEFAULT_ROLES,
-    spacer_theta=np.pi / 2,
-    spacer_roles=None,
+    crystal_material, spacer_material, lambda_um, n_crystals, m_integer, roles=DEFAULT_ROLES
 ):
     """Solve a crystal/spacer stack for a separable central ridge.
 
@@ -206,17 +151,13 @@ def design_assembly(
     theta_c = phasematching_angle(crystal_material, lambda_um, roles)
     w0 = omega_from_lambda(lambda_um)
     m_c, ps_c, pi_c = _unit_mismatch_sums(crystal_material, theta_c, roles, w0)
-    m_sp, ps_sp, pi_sp = _unit_mismatch_sums(
-        spacer_material, spacer_theta, spacer_roles or roles, w0
-    )
+    m_sp, ps_sp, pi_sp = _unit_mismatch_sums(spacer_material, _SPACER_THETA, roles, w0)
     if not m_c * m_sp < 0:
         raise NoOppositeSign(
             "crystal and spacer group-velocity mismatches do not compensate"
         )
     ratio = -m_c / m_sp
-    h_min, h = quantize_spacer(
-        spacer_material, lambda_um, m_integer, spacer_theta, spacer_roles or roles
-    )
+    h_min, h = quantize_spacer(spacer_material, lambda_um, m_integer, roles)
     length = h / ratio
     t_s = ps_c * length + ps_sp * h
     t_i = pi_c * length + pi_sp * h
@@ -272,7 +213,7 @@ def central_ridge_grid(design, n=256):
     per axis, converted to angular frequency at the carrier."""
     lam = design.lambda0_um
     spacing_um = design.delta_lambda_ridge_spacing_nm * 1e-3
-    half_span = 2.0 * np.pi * C_UM_PS / lam**2 * spacing_um / (2.0 * np.sqrt(2.0))
+    half_span = domega_from_dlambda(spacing_um, lam) / (2.0 * np.sqrt(2.0))
     return FrequencyGrid(omega0=omega_from_lambda(lam), half_span=half_span, n=n)
 
 
@@ -329,7 +270,7 @@ def isolate_central_ridge(ja, design, half_width_nm=None):
     if half_width_nm is None:
         half_width_nm = design.delta_lambda_ridge_spacing_nm / (2.0 * np.sqrt(2.0))
     lam = design.lambda0_um
-    half_w = 2.0 * np.pi * C_UM_PS / lam**2 * (half_width_nm * 1e-3)
+    half_w = domega_from_dlambda(half_width_nm * 1e-3, lam)
     t_minus = abs(design.t_minus_ps)
     if t_minus == 0.0:
         raise ConfigError("design has zero transverse period T_minus")

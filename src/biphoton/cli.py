@@ -28,6 +28,7 @@ from .assembly import (
 )
 from .constants import (
     GAMMA_SINC,
+    domega_from_dlambda,
     fwhm_nm_from_sigma,
     omega_from_lambda,
     sigma_from_fwhm_nm,
@@ -341,8 +342,7 @@ def _build_filter(args):
         raise ConfigError("--filter-center-nm and --filter-width-nm must be positive and finite")
     lam_c = um_from_nm(args.filter_center_nm)
     center = omega_from_lambda(lam_c)
-    # d omega = 2 pi c d lambda / lambda^2 at the filter center
-    width = center / lam_c * um_from_nm(args.filter_width_nm)
+    width = domega_from_dlambda(um_from_nm(args.filter_width_nm), lam_c)
     if args.filter_kind == "gaussian":
         return SpectralFilter.gaussian(center, width)
     return SpectralFilter.tophat(center, width)
@@ -568,7 +568,7 @@ def _repro_assembly_pipeline():
     pump = PumpConfig(
         omega_p0=2.0 * cfg.crystal.omega0, sigma=design.sigma_pump_rad_ps
     )
-    half_w = omega_from_lambda(design.lambda0_um) / design.lambda0_um * 0.020
+    half_w = domega_from_dlambda(0.020, design.lambda0_um)
     grid = FrequencyGrid(omega0=cfg.crystal.omega0, half_span=half_w, n=256)
     ja = assembly_jsa_grid(pump, cfg, grid)
     iso = isolate_central_ridge(ja, design, half_width_nm=20.0)

@@ -26,15 +26,18 @@ def lambda_from_omega(omega):
     return 2.0 * np.pi * C_UM_PS / omega
 
 
+def domega_from_dlambda(dlambda_um, lambda_um):
+    """Width in rad/ps of a small width in um: |d omega / d lambda| = 2 pi c / lambda^2."""
+    return 2.0 * np.pi * C_UM_PS / lambda_um**2 * dlambda_um
+
+
 def sigma_from_fwhm_nm(fwhm_nm, lambda_um):
     """Pump amplitude width sigma (rad/ps) from an intensity FWHM in nm.
 
     The envelope is exp(-(nu/sigma)^2) in amplitude, so the intensity FWHM in
-    angular frequency is sqrt(2 ln 2) sigma; the nm value is mapped through
-    |d omega / d lambda| = 2 pi c / lambda^2 at the given carrier.
+    angular frequency is sqrt(2 ln 2) sigma.
     """
-    dw = 2.0 * np.pi * C_UM_PS / lambda_um**2 * (fwhm_nm * 1e-3)
-    return dw / np.sqrt(2.0 * np.log(2.0))
+    return domega_from_dlambda(fwhm_nm * 1e-3, lambda_um) / np.sqrt(2.0 * np.log(2.0))
 
 
 def fwhm_nm_from_sigma(sigma, lambda_um):

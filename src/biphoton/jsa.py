@@ -8,6 +8,7 @@ Two evaluation models: "full_sinc" keeps the complete dispersion relation,
 "gaussian" uses the second-order Taylor expansion with sinc(x) ~ exp(-0.193 x^2).
 Both carry the forward phase exp(+i L (k_s + k_i - k_p)/2), whose expansion is
 the (i/2)(tau nu + beta nu^2) phase of the Gaussian model.
+A single crystal is the crystal/spacer stack with N = 1: one evaluator gives both.
 """
 
 from dataclasses import dataclass
@@ -213,15 +214,56 @@ def phasematching(mismatch, length):
     return np.sinc(x / np.pi) * np.exp(1j * x)
 
 
+#: spacers are unpoled, cut at theta = pi/2 and read with the crystal's roles
+_SPACER_THETA = np.pi / 2
+
+
+def upsilon(n_crystals, x):
+    """Normalized Dirichlet kernel sin(N x) / (N sin x), array-capable.
+
+    The removable singularities at x = k pi evaluate to (-1)^{k (N-1)}, so the
+    peak values are exactly +-1.
+    """
+    n = int(n_crystals)
+    if n < 1:
+        raise ConfigError("n_crystals must be at least 1")
+    xa = np.asarray(x, dtype=float)
+    s = np.sin(xa)
+    near = np.abs(s) < 1e-9
+    k = np.rint(xa / np.pi)
+    limit = np.where(((n - 1) * k.astype(np.int64)) % 2 == 0, 1.0, -1.0)
+    safe = np.where(near, 1.0, s)
+    out = np.where(near, limit, np.sin(n * xa) / (n * safe))
+    return out if out.ndim else float(out)
+
+
+def _stack_phasematching(crystal, mismatch, where, stack=None):
+    """Complex phasematching of a crystal stack; no stack is one crystal.
+
+    mismatch is mismatch_on_grid with where = (grid,), or forward_mismatch with
+    where = (nu_s, nu_i).  stack carries spacer_material, spacer_h_um and
+    n_crystals (an AssemblyConfig).  A poled crystal keeps its grating; N
+    crystals multiply its sinc by the exact geometric sum over periods of the
+    pair phase Phi = L D_c + h D_sp.
+    """
+    w0, roles = crystal.omega0, crystal.roles
+    dc = mismatch(crystal.material, crystal.theta, roles, w0, *where, _grating_shift(crystal))
+    single = phasematching(dc, crystal.length_um)
+    n = 1 if stack is None else stack.n_crystals
+    if n == 1:
+        return single
+    dsp = mismatch(stack.spacer_material, _SPACER_THETA, roles, w0, *where)
+    phi = crystal.length_um * dc + stack.spacer_h_um * dsp
+    return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
+
+
 def phasematching_sinc(crystal, nu_s, nu_i):
     """Complex single-crystal phasematching, full dispersion, any points.
 
     Returns sinc(L delta_k/2) exp(-i L delta_k/2) with delta_k = k_p - k_s - k_i
     reduced by the grating vector when the crystal is poled.
     """
-    m, th, roles, w0 = crystal.material, crystal.theta, crystal.roles, crystal.omega0
-    d = forward_mismatch(m, th, roles, w0, nu_s, nu_i, _grating_shift(crystal))
-    return phasematching(d, crystal.length_um)
+    return _stack_phasematching(crystal, forward_mismatch, (nu_s, nu_i))
 
 
 def gaussian_model(pump, coeffs, nu_s, nu_i):
@@ -244,13 +286,25 @@ def _normalized(grid, values, domain="spectral"):
     return JointAmplitude(grid, values / norm, domain)
 
 
+def _check_carrier(pump, crystal):
+    if abs(pump.omega_p0 - 2.0 * crystal.omega0) > 1e-9 * pump.omega_p0:
+        raise ConfigError("pump carrier must be twice the downconversion carrier")
+
+
+def _stack_on_grid(pump, crystal, grid, stack=None):
+    """Normalized full-sinc amplitude of a crystal stack on a square grid."""
+    values = _stack_phasematching(crystal, mismatch_on_grid, (grid,), stack)
+    nu = grid.axis()
+    values *= pump_envelope(pump, nu[:, None] + nu[None, :])
+    return _normalized(grid, values)
+
+
 def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
     """Normalized joint spectral amplitude on a square grid.
 
     rows index nu_s, columns nu_i. Normalization: sum |f|^2 dnu^2 = 1.
     """
-    if abs(pump.omega_p0 - 2.0 * crystal.omega0) > 1e-9 * pump.omega_p0:
-        raise ConfigError("pump carrier must be twice the downconversion carrier")
+    _check_carrier(pump, crystal)
     coeffs = taylor_coefficients(crystal)
     if grid is None:
         grid = default_grid(pump, coeffs)
@@ -260,18 +314,13 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
             f"half_span {grid.half_span:.3g} cannot resolve marginal width "
             f"{min(sig_s, sig_i):.3g}"
         )
-    nu = grid.axis()
-    if model == "gaussian":
-        # the Gaussian model carries the pump factor already
-        values = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
-    elif model == "full_sinc":
-        m, th, roles, w0 = crystal.material, crystal.theta, crystal.roles, crystal.omega0
-        d = mismatch_on_grid(m, th, roles, w0, grid, _grating_shift(crystal))
-        values = phasematching(d, crystal.length_um)
-        values *= pump_envelope(pump, nu[:, None] + nu[None, :])
-    else:
+    if model == "full_sinc":
+        return _stack_on_grid(pump, crystal, grid)
+    if model != "gaussian":
         raise ConfigError(f"unknown model {model!r}")
-    return _normalized(grid, values)
+    nu = grid.axis()
+    # the Gaussian model carries the pump factor already
+    return _normalized(grid, gaussian_model(pump, coeffs, nu[:, None], nu[None, :]))
 
 
 def joint_temporal_intensity(ja):

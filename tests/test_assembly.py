@@ -8,7 +8,6 @@ import pytest
 import biphoton as bp
 from biphoton.assembly import (
     AssemblyConfig,
-    _stack_phasematching,
     assembly_config_from_design,
     assembly_jsa_grid,
     assembly_phasematching,
@@ -20,7 +19,14 @@ from biphoton.assembly import (
     ridge_slope,
     upsilon,
 )
-from biphoton.jsa import CrystalConfig, FrequencyGrid, JointAmplitude, PumpConfig, pump_envelope
+from biphoton.jsa import (
+    CrystalConfig,
+    FrequencyGrid,
+    JointAmplitude,
+    PumpConfig,
+    _stack_phasematching,
+    pump_envelope,
+)
 from biphoton.materials import DispersionModel, Sellmeier, inverse_group_velocity, RaySpec
 from biphoton.schmidt import cooperativity, schmidt_decompose
 
@@ -101,13 +107,35 @@ def test_full_turn_per_period_gives_plus_n(db):
     # accumulated phase factor cancel, leaving +N regardless of parity
     crystal = CrystalConfig(db["BBO"], 123.0, 0.5, bp.omega_from_lambda(LAMBDA0))
 
-    def mismatch(material, theta, roles):
+    def mismatch(material, theta, roles, omega0, grating=0.0):
         # zero mismatch in the crystal, 1 rad/um in the spacer
         return np.full((8, 8), 0.0 if material is db["BBO"] else 1.0)
 
     for n in (2, 3, 10):
         cfg = AssemblyConfig(crystal, db["CALCITE"], 2.0 * np.pi, n)
-        assert np.allclose(_stack_phasematching(cfg, mismatch), float(n), rtol=1e-12, atol=1e-12)
+        assert np.allclose(
+            _stack_phasematching(crystal, mismatch, (), cfg), float(n), rtol=1e-12, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("scheme", ["KDP-angle", "KTP-qpm"])
+def test_single_crystal_stack_is_the_single_crystal(db, scheme):
+    # a poled crystal keeps its grating inside a one-crystal stack
+    if scheme == "KTP-qpm":
+        crystal = bp.qpm_matched_crystal(db["KTP"], 1.568, 20000.0)
+    else:
+        crystal = bp.angle_matched_crystal(db["KDP"], 0.83, 20000.0)
+    pump = PumpConfig(2.0 * crystal.omega0, bp.sigma_from_fwhm_nm(1.0, crystal.lambda0_um() / 2))
+    grid = bp.default_grid(pump, bp.taylor_coefficients(crystal), n=64)
+    one = AssemblyConfig(crystal, None, 0.0, 1)
+    assert np.array_equal(
+        assembly_jsa_grid(pump, one, grid).values, bp.jsa_grid(pump, crystal, grid).values
+    )
+    nu = grid.axis()
+    assert np.array_equal(
+        assembly_phasematching(one, nu[:, None], nu[None, :]),
+        bp.phasematching_sinc(crystal, nu[:, None], nu[None, :]),
+    )
 
 
 def test_stack_amplitude_bounded_by_n_with_equality_at_center(db, stack_design):
@@ -214,6 +242,23 @@ def test_config_validation(db, stack_design):
         )
     with pytest.raises(bp.ConfigError):
         design_assembly(db["BBO"], db["CALCITE"], LAMBDA0, 0, 1)
+
+
+@pytest.mark.parametrize("h_um", [np.nan, np.inf])
+def test_nonfinite_spacer_thickness_rejected(db, stack_design, h_um):
+    cfg = _stack_config(db, stack_design)
+    for n in (1, 2):
+        with pytest.raises(bp.ConfigError):
+            AssemblyConfig(cfg.crystal, cfg.spacer_material, h_um, n)
+
+
+def test_stack_needs_spacer_material(db, stack_design):
+    cfg = _stack_config(db, stack_design)
+    with pytest.raises(bp.ConfigError):
+        AssemblyConfig(cfg.crystal, None, cfg.spacer_h_um, 2)
+    # a single crystal needs no spacer
+    one = AssemblyConfig(cfg.crystal, None, 0.0, 1)
+    assert abs(assembly_phasematching(one, 0.0, 0.0) - 1.0) < 1e-6
 
 
 # ------------------------------------------------------------- ridge geometry
