@@ -74,10 +74,8 @@ from .jsa import (
     taylor_coefficients,
 )
 from .materials import (
-    DEFAULT_ROLES,
     DispersionModel,
     Pol,
-    PolarizationRoles,
     RaySpec,
     Sellmeier,
     carrier_mismatch,

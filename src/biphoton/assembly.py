@@ -8,7 +8,9 @@ geometric sum over periods:
     phi_N = exp(i (N-1) Phi / 2) sin(N Phi / 2) / sin(Phi / 2) * phi_1
 
 A single crystal is the stack with N = 1 and jsa evaluates both: a poled crystal
-keeps its grating inside D_c, and the spacer is unpoled, cut at theta = pi/2.
+keeps its grating inside D_c, and the spacer is unpoled and cut at theta = pi/2
+(materials.NONCRITICAL_THETA). Crystal and spacer share the one pair geometry of
+materials: extraordinary pump and signal, ordinary idler.
 
 The spacer is chosen so that its carrier mismatch rewinds an integer number of
 2 pi turns (h = m h_min) while its group-velocity mismatch cancels the
@@ -23,7 +25,6 @@ from .constants import C_UM_PS, GAMMA_SINC2, domega_from_dlambda, omega_from_lam
 from .errors import ConfigError, NoOppositeSign, ZeroMismatch
 # upsilon lives beside the stack evaluator in jsa and is re-exported here
 from .jsa import (
-    _SPACER_THETA,
     CrystalConfig,
     FrequencyGrid,
     _check_carrier,
@@ -32,7 +33,7 @@ from .jsa import (
     _stack_phasematching,
     upsilon,
 )
-from .materials import DEFAULT_ROLES, forward_mismatch, group_delays, phasematching_angle
+from .materials import NONCRITICAL_THETA, forward_mismatch, group_delays, phasematching_angle
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,27 @@ def assembly_jsa_grid(pump, cfg, grid):
     return _stack_on_grid(pump, cfg.crystal, grid, cfg)
 
 
-def _unit_mismatch_sums(material, theta, roles, omega0):
+def _unit_mismatch_sums(material, theta, omega0):
     """(k_s' + k_i' - 2 k_p', k_p' - k_s', k_p' - k_i') per unit length."""
-    kp1, ks1, ki1 = group_delays(material, theta, roles, omega0)
+    kp1, ks1, ki1 = group_delays(material, theta, omega0)
     return ks1 + ki1 - 2 * kp1, kp1 - ks1, kp1 - ki1
 
 
-def generalized_gvm_ratio(
-    crystal_material, spacer_material, lambda_um, theta_crystal, roles=DEFAULT_ROLES
-):
+def generalized_gvm_ratio(crystal_material, spacer_material, lambda_um, theta_crystal):
     """h/L nulling the period-averaged group-velocity mismatch, or None.
 
     Solves (k_s' + k_i' - 2 k_p') L + (kappa_s' + kappa_i' - 2 kappa_p') h = 0;
     a positive solution needs opposite signs in crystal and spacer.
     """
     w0 = omega_from_lambda(lambda_um)
-    mc, _, _ = _unit_mismatch_sums(crystal_material, theta_crystal, roles, w0)
-    msp, _, _ = _unit_mismatch_sums(spacer_material, _SPACER_THETA, roles, w0)
+    mc, _, _ = _unit_mismatch_sums(crystal_material, theta_crystal, w0)
+    msp, _, _ = _unit_mismatch_sums(spacer_material, NONCRITICAL_THETA, w0)
     if mc == 0.0 or msp == 0.0 or np.sign(mc) == np.sign(msp):
         return None
     return float(-mc / msp)
 
 
-def quantize_spacer(spacer_material, lambda_um, m_integer, roles=DEFAULT_ROLES):
+def quantize_spacer(spacer_material, lambda_um, m_integer):
     """(h_min, h): thicknesses whose carrier phase is an exact 2 pi multiple.
 
     h_min = 2 pi / |delta_kappa0|; h = m h_min keeps every crystal's central
@@ -95,7 +94,7 @@ def quantize_spacer(spacer_material, lambda_um, m_integer, roles=DEFAULT_ROLES):
     if int(m_integer) < 1:
         raise ConfigError("m must be a positive integer")
     w0 = omega_from_lambda(lambda_um)
-    dk0 = -forward_mismatch(spacer_material, _SPACER_THETA, roles, w0, 0.0, 0.0)
+    dk0 = -forward_mismatch(spacer_material, NONCRITICAL_THETA, w0, 0.0, 0.0)
     if abs(dk0) < 1e-9:
         raise ZeroMismatch("spacer carrier mismatch vanishes; nothing to quantize")
     h_min = 2.0 * np.pi / abs(dk0)
@@ -135,9 +134,7 @@ class AssemblyDesign:
     gen_gvm_residual_ps: float
 
 
-def design_assembly(
-    crystal_material, spacer_material, lambda_um, n_crystals, m_integer, roles=DEFAULT_ROLES
-):
+def design_assembly(crystal_material, spacer_material, lambda_um, n_crystals, m_integer):
     """Solve a crystal/spacer stack for a separable central ridge.
 
     The crystal is cut at its collinear phasematching angle; the spacer
@@ -148,16 +145,16 @@ def design_assembly(
     m_integer = int(m_integer)
     if n_crystals < 1:
         raise ConfigError("n_crystals must be at least 1")
-    theta_c = phasematching_angle(crystal_material, lambda_um, roles)
+    theta_c = phasematching_angle(crystal_material, lambda_um)
     w0 = omega_from_lambda(lambda_um)
-    m_c, ps_c, pi_c = _unit_mismatch_sums(crystal_material, theta_c, roles, w0)
-    m_sp, ps_sp, pi_sp = _unit_mismatch_sums(spacer_material, _SPACER_THETA, roles, w0)
+    m_c, ps_c, pi_c = _unit_mismatch_sums(crystal_material, theta_c, w0)
+    m_sp, ps_sp, pi_sp = _unit_mismatch_sums(spacer_material, NONCRITICAL_THETA, w0)
     if not m_c * m_sp < 0:
         raise NoOppositeSign(
             "crystal and spacer group-velocity mismatches do not compensate"
         )
     ratio = -m_c / m_sp
-    h_min, h = quantize_spacer(spacer_material, lambda_um, m_integer, roles)
+    h_min, h = quantize_spacer(spacer_material, lambda_um, m_integer)
     length = h / ratio
     t_s = ps_c * length + ps_sp * h
     t_i = pi_c * length + pi_sp * h
@@ -191,14 +188,13 @@ def design_assembly(
     )
 
 
-def assembly_config_from_design(design, crystal_material, spacer_material, roles=DEFAULT_ROLES):
+def assembly_config_from_design(design, crystal_material, spacer_material):
     """Materialize the evaluation config for a solved design."""
     crystal = CrystalConfig(
         material=crystal_material,
         length_um=design.length_um,
         theta=design.theta_c_rad,
         omega0=omega_from_lambda(design.lambda0_um),
-        roles=roles,
     )
     return AssemblyConfig(
         crystal=crystal,
@@ -256,30 +252,21 @@ def ridge_slope(ja):
     return float(np.dot(ws, (xs - mx) * (ys - my)) / vxx)
 
 
-def isolate_central_ridge(ja, design, half_width_nm=None):
+def isolate_central_ridge(ja, design):
     """Restrict a sampled amplitude to its central interference ridge.
 
-    Applies a rectangular window of +-half_width_nm per frequency axis
-    (default: the ridge spacing over 2 sqrt 2) and zeroes everything beyond
-    the first transverse nulls of the N-crystal interference factor, at
-    |nu_s - nu_i| = 2 pi / (N |T_minus|).  The transverse cut is what
-    actually isolates the ridge: the sideband ridges kept by a plain box
+    Zeroes everything beyond the first transverse nulls of the N-crystal
+    interference factor, at |nu_s - nu_i| = 2 pi / (N |T_minus|); the grid's
+    own span (central_ridge_grid) bounds the ridge along it.  The transverse
+    cut is what isolates the ridge: the sideband ridges kept by a plain box
     window act as extra Schmidt modes and pin the cooperativity near 1.24
     regardless of the box size.  Returns a renormalized amplitude.
     """
-    if half_width_nm is None:
-        half_width_nm = design.delta_lambda_ridge_spacing_nm / (2.0 * np.sqrt(2.0))
-    lam = design.lambda0_um
-    half_w = domega_from_dlambda(half_width_nm * 1e-3, lam)
     t_minus = abs(design.t_minus_ps)
     if t_minus == 0.0:
         raise ConfigError("design has zero transverse period T_minus")
     nu_cut = 2.0 * np.pi / (design.n_crystals * t_minus)
     nu = ja.grid.axis()
-    keep = (
-        (np.abs(nu)[:, None] <= half_w)
-        & (np.abs(nu)[None, :] <= half_w)
-        & (np.abs(nu[:, None] - nu[None, :]) < nu_cut)
-    )
+    keep = np.abs(nu[:, None] - nu[None, :]) < nu_cut
     vals = np.where(keep, ja.values, 0.0)
     return _normalized(ja.grid, vals, ja.domain)

@@ -43,7 +43,6 @@ from .gvm_design import (
 )
 from .io import grid_rows, read_bjsa, read_csv, write_bjsa, write_csv, write_table
 from .jsa import (
-    CrystalConfig,
     FrequencyGrid,
     JointAmplitude,
     PumpConfig,
@@ -184,7 +183,6 @@ def build_parser():
     sp.add_argument("--pump-fwhm-nm", type=float)
     sp.add_argument("--pump-chirp-ps2", type=float, default=0.0)
     sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
-    sp.add_argument("--theta-deg", type=float, help="override the solved cut angle")
     sp.add_argument("--grid-n", type=int, default=256)
     sp.add_argument("--span-factor", type=float, default=4.0)
     sp.add_argument("--model", choices=["full_sinc", "gaussian"], default="full_sinc")
@@ -255,24 +253,12 @@ def _cmd_materials(args):
     }
 
 
-def _build_crystal(args, material, lam_um, length_um):
-    if args.theta_deg is not None:
-        return CrystalConfig(
-            material=material,
-            length_um=length_um,
-            theta=rad_from_deg(args.theta_deg),
-            omega0=omega_from_lambda(lam_um),
-        )
-    if args.scheme == "qpm":
-        return qpm_matched_crystal(material, lam_um, length_um)
-    return angle_matched_crystal(material, lam_um, length_um)
-
-
 def _cmd_analyze(args):
     _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
     material = get_material(args.material)
     lam = um_from_nm(args.lambda_nm)
-    crystal = _build_crystal(args, material, lam, um_from_mm(args.length_mm))
+    matched_crystal = qpm_matched_crystal if args.scheme == "qpm" else angle_matched_crystal
+    crystal = matched_crystal(material, lam, um_from_mm(args.length_mm))
     sigma = sigma_from_fwhm_nm(args.pump_fwhm_nm, lam / 2.0)
     pump = PumpConfig(
         omega_p0=2.0 * crystal.omega0, sigma=sigma, beta_t=args.pump_chirp_ps2
@@ -285,7 +271,7 @@ def _cmd_analyze(args):
     report = {
         "command": "analyze",
         "material": material.material_id,
-        "scheme": args.scheme if args.theta_deg is None else "fixed-angle",
+        "scheme": args.scheme,
         "theta_deg": deg_from_rad(crystal.theta),
         "qpm_period_um": crystal.qpm_period_um,
         "lambda_nm": args.lambda_nm,
@@ -571,7 +557,7 @@ def _repro_assembly_pipeline():
     half_w = domega_from_dlambda(0.020, design.lambda0_um)
     grid = FrequencyGrid(omega0=cfg.crystal.omega0, half_span=half_w, n=256)
     ja = assembly_jsa_grid(pump, cfg, grid)
-    iso = isolate_central_ridge(ja, design, half_width_nm=20.0)
+    iso = isolate_central_ridge(ja, design)
     K = cooperativity(schmidt_decompose(iso))
     nu = grid.axis()
     pm = JointAmplitude(grid, assembly_phasematching(cfg, nu[:, None], nu[None, :]))

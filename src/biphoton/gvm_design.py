@@ -24,7 +24,10 @@ from .jsa import (
     qpm_matched_crystal,
     taylor_coefficients,
 )
-from .materials import DEFAULT_ROLES, find_root, group_delays, phasematching_angle
+from .materials import NONCRITICAL_THETA, find_root, group_delays, phasematching_angle
+
+#: wavelengths in the scan that brackets the matched-wavelength roots
+SCAN_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -85,19 +88,19 @@ def solve_pump_bandwidth(crystal):
     return _separable_sigma(taylor_coefficients(crystal))
 
 
-def _mismatch_curves(material, scheme, roles, lambdas):
+def _mismatch_curves(material, scheme, lambdas):
     """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p', elementwise.
 
     Entries are NaN where no phasematching angle exists.
     """
-    theta = phasematching_angle(material, lambdas, roles) if scheme == "angle" else np.pi / 2
+    theta = phasematching_angle(material, lambdas) if scheme == "angle" else NONCRITICAL_THETA
     ok = ~np.isnan(theta)
     w0 = omega_from_lambda(lambdas)
-    kp, ks, ki = group_delays(material, np.where(ok, theta, np.pi / 2), roles, w0)
+    kp, ks, ki = group_delays(material, np.where(ok, theta, NONCRITICAL_THETA), w0)
     return np.where(ok, ks - kp, np.nan), np.where(ok, ki - kp, np.nan)
 
 
-def _scan(material, scheme, roles, window, npts):
+def _scan(material, scheme, window):
     """Wavelengths spanning the window, with the mismatch curves on them.
 
     The window is clipped to 2% inside the range where both the pair and the
@@ -111,34 +114,34 @@ def _scan(material, scheme, roles, window, npts):
         lo, hi = max(lo, window[0]), min(hi, window[1])
     if not lo < hi:
         raise ConfigError(f"empty scan window [{lo}, {hi}] um for {material.material_id}")
-    lambdas = np.linspace(lo, hi, npts)
-    return (lambdas, *_mismatch_curves(material, scheme, roles, lambdas))
+    lambdas = np.linspace(lo, hi, SCAN_POINTS)
+    return (lambdas, *_mismatch_curves(material, scheme, lambdas))
 
 
-def _refine_root(material, scheme, roles, fn, a, b):
+def _refine_root(material, scheme, fn, a, b):
     """Roots of fn(g_s, g_i) in the wavelength brackets [a, b]."""
-    return find_root(lambda lam: fn(*_mismatch_curves(material, scheme, roles, lam)), a, b)
+    return find_root(lambda lam: fn(*_mismatch_curves(material, scheme, lam)), a, b)
 
 
-def gvm_wavelength_search(material, scheme="angle", roles=DEFAULT_ROLES, window=None, npts=64):
+def gvm_wavelength_search(material, scheme="angle", window=None):
     """Degenerate wavelength where the pair group velocities straddle the
     pump symmetrically: k_s' + k_i' = 2 k_p'. None when no root exists."""
-    lambdas, gs, gi = _scan(material, scheme, roles, window, npts)
+    lambdas, gs, gi = _scan(material, scheme, window)
     s = gs + gi
     hits = np.flatnonzero(s[:-1] * s[1:] <= 0)
     if not hits.size:
         return None
     j = hits[0]
-    return float(_refine_root(material, scheme, roles, np.add, lambdas[j], lambdas[j + 1]))
+    return float(_refine_root(material, scheme, np.add, lambdas[j], lambdas[j + 1]))
 
 
-def decorrelation_range(material, scheme="angle", roles=DEFAULT_ROLES, window=None, npts=64):
+def decorrelation_range(material, scheme="angle", window=None):
     """Wavelength interval with tau_s tau_i < 0 (asymmetric factorability).
 
     Endpoints are the zeros of the individual mismatches. Returns the widest
     such interval inside the scan window, or None.
     """
-    lambdas, gs, gi = _scan(material, scheme, roles, window, npts)
+    lambdas, gs, gi = _scan(material, scheme, window)
     prod = gs * gi
     # each run of samples with tau_s tau_i < 0 ends at a first and a last
     # sample; inner holds both ends of every run, outer the sample one further out
@@ -156,27 +159,26 @@ def decorrelation_range(material, scheme="angle", roles=DEFAULT_ROLES, window=No
     lo, hi = np.minimum(inner, outer)[ref], np.maximum(inner, outer)[ref]
     on_s = gs[lo] * gs[hi] <= 0
     ends[ref] = _refine_root(
-        material, scheme, roles, lambda s, i: np.where(on_s, s, i), lambdas[lo], lambdas[hi]
+        material, scheme, lambda s, i: np.where(on_s, s, i), lambdas[lo], lambdas[hi]
     )
     a, b = np.split(ends, 2)
     k = np.argmax(b - a)
     return float(a[k]), float(b[k])
 
 
-def asymmetric_design(material, lambda_um, length_um, pump, scheme="angle", roles=DEFAULT_ROLES):
+def asymmetric_design(material, lambda_um, length_um, pump_fwhm_nm, scheme="angle"):
     """Factorizability report in the asymmetric (one tau near zero) regime.
 
-    pump may be a PumpConfig or a pump intensity FWHM in nm. Returns
+    The pump is unchirped with intensity FWHM pump_fwhm_nm. Returns
     (report, long_crystal_regime, crystal, pump, coeffs); raises NotAsymmetric
     unless one mismatch is below 5% of the other.
     """
     if scheme == "angle":
-        crystal = angle_matched_crystal(material, lambda_um, length_um, roles)
+        crystal = angle_matched_crystal(material, lambda_um, length_um)
     else:
-        crystal = qpm_matched_crystal(material, lambda_um, length_um, roles)
-    if not hasattr(pump, "sigma"):
-        sigma = sigma_from_fwhm_nm(float(pump), lambda_um / 2.0)
-        pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
+        crystal = qpm_matched_crystal(material, lambda_um, length_um)
+    sigma = sigma_from_fwhm_nm(float(pump_fwhm_nm), lambda_um / 2.0)
+    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
     coeffs = taylor_coefficients(crystal)
     lo = min(abs(coeffs.tau_s), abs(coeffs.tau_i))
     hi = max(abs(coeffs.tau_s), abs(coeffs.tau_i))

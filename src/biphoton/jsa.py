@@ -18,14 +18,17 @@ import numpy as np
 from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda
 from .errors import BadDomain, ConfigError, DegenerateGrid
 from .materials import (
-    DEFAULT_ROLES,
+    IDLER_POL,
+    NONCRITICAL_THETA,
+    PUMP_POL,
+    SIGNAL_POL,
     RaySpec,
     _k_derivatives,
     carrier_mismatch,
     forward_mismatch,
     group_delays,
     phasematching_angle,
-    qpm_period,
+    qpm_grating,
     wavenumber,
 )
 
@@ -45,38 +48,44 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class CrystalConfig:
+    """A crystal cut at theta for the degenerate carrier omega0; grating is the
+    signed grating vector (rad/um) of a poled crystal, 0 when unpoled."""
+
     material: object
     length_um: float
     theta: float
     omega0: float
-    roles: object = DEFAULT_ROLES
-    qpm_period_um: float = None
+    grating: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.length_um < np.inf:
             raise ConfigError("crystal length must be positive and finite")
 
+    @property
+    def qpm_period_um(self):
+        """Poling period 2 pi / |grating| (um), None when unpoled."""
+        return 2.0 * np.pi / abs(self.grating) if self.grating else None
+
     def lambda0_um(self):
         return lambda_from_omega(self.omega0)
 
     def delta_k0(self):
-        """Residual carrier mismatch k_p - k_s - k_i (minus grating if poled)."""
-        return carrier_mismatch(
-            self.material, self.theta, self.lambda0_um(), self.roles, self.qpm_period_um
-        )
+        """Residual carrier mismatch k_p - k_s - k_i - grating."""
+        return carrier_mismatch(self.material, self.theta, self.lambda0_um()) - self.grating
 
 
-def angle_matched_crystal(material, lambda_pdc_um, length_um, roles=DEFAULT_ROLES):
+def angle_matched_crystal(material, lambda_pdc_um, length_um):
     """CrystalConfig at the solved birefringent phasematching angle."""
-    theta = phasematching_angle(material, lambda_pdc_um, roles)
-    return CrystalConfig(material, length_um, theta, omega_from_lambda(lambda_pdc_um), roles)
+    theta = phasematching_angle(material, lambda_pdc_um)
+    return CrystalConfig(material, length_um, theta, omega_from_lambda(lambda_pdc_um))
 
 
-def qpm_matched_crystal(material, lambda_pdc_um, length_um, roles=DEFAULT_ROLES, theta=np.pi / 2):
-    """CrystalConfig with a first-order poling period closing the mismatch."""
-    period = qpm_period(material, lambda_pdc_um, theta, roles)
+def qpm_matched_crystal(material, lambda_pdc_um, length_um):
+    """CrystalConfig cut at NONCRITICAL_THETA, poled with the first-order grating
+    that closes the carrier mismatch."""
+    grating = qpm_grating(material, lambda_pdc_um)
     return CrystalConfig(
-        material, length_um, theta, omega_from_lambda(lambda_pdc_um), roles, period
+        material, length_um, NONCRITICAL_THETA, omega_from_lambda(lambda_pdc_um), grating
     )
 
 
@@ -104,7 +113,7 @@ def taylor_coefficients(crystal):
         raise ConfigError(
             f"crystal not phasematched: residual delta_k0 = {residual:.3e} rad/um"
         )
-    carriers = (crystal.material, crystal.theta, crystal.roles, crystal.omega0)
+    carriers = (crystal.material, crystal.theta, crystal.omega0)
     (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(*carriers, _k_derivatives)
     return TaylorCoefficients(
         tau_s=L * (ks1 - kp1),
@@ -185,14 +194,7 @@ def pump_envelope(pump, nu_sum):
     return np.exp(-((nu / pump.sigma) ** 2) + 1j * pump.beta_t * nu**2)
 
 
-def _grating_shift(crystal):
-    if crystal.qpm_period_um is None:
-        return 0.0
-    raw = carrier_mismatch(crystal.material, crystal.theta, crystal.lambda0_um(), crystal.roles)
-    return np.sign(raw) * 2.0 * np.pi / crystal.qpm_period_um
-
-
-def mismatch_on_grid(material, theta, roles, omega0, grid, grating=0.0):
+def mismatch_on_grid(material, theta, omega0, grid, grating=0.0):
     """D = k_s + k_i - (k_p - grating) on the n x n grid, rows nu_s.
 
     k_p is sampled once on the 2n-1 detuning sums (m - n) dnu and read back
@@ -200,10 +202,10 @@ def mismatch_on_grid(material, theta, roles, omega0, grid, grating=0.0):
     """
     n = grid.n
     nu = grid.axis()
-    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + nu)
-    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + nu)
+    ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + nu)
+    ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + nu)
     nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
-    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + nu_sum) - grating
+    kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + nu_sum) - grating
     idx = np.arange(n)
     return ks[:, None] + ki[None, :] - kp[idx[:, None] + idx[None, :]]
 
@@ -212,10 +214,6 @@ def phasematching(mismatch, length):
     """Complex sinc phasematching sinc(x) e^{ix}, x = L D / 2, for D = k_s + k_i - k_p."""
     x = 0.5 * length * mismatch
     return np.sinc(x / np.pi) * np.exp(1j * x)
-
-
-#: spacers are unpoled, cut at theta = pi/2 and read with the crystal's roles
-_SPACER_THETA = np.pi / 2
 
 
 def upsilon(n_crystals, x):
@@ -244,15 +242,15 @@ def _stack_phasematching(crystal, mismatch, where, stack=None):
     where = (nu_s, nu_i).  stack carries spacer_material, spacer_h_um and
     n_crystals (an AssemblyConfig).  A poled crystal keeps its grating; N
     crystals multiply its sinc by the exact geometric sum over periods of the
-    pair phase Phi = L D_c + h D_sp.
+    pair phase Phi = L D_c + h D_sp, the spacer unpoled and cut at NONCRITICAL_THETA.
     """
-    w0, roles = crystal.omega0, crystal.roles
-    dc = mismatch(crystal.material, crystal.theta, roles, w0, *where, _grating_shift(crystal))
+    w0 = crystal.omega0
+    dc = mismatch(crystal.material, crystal.theta, w0, *where, crystal.grating)
     single = phasematching(dc, crystal.length_um)
     n = 1 if stack is None else stack.n_crystals
     if n == 1:
         return single
-    dsp = mismatch(stack.spacer_material, _SPACER_THETA, roles, w0, *where)
+    dsp = mismatch(stack.spacer_material, NONCRITICAL_THETA, w0, *where)
     phi = crystal.length_um * dc + stack.spacer_h_um * dsp
     return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
 

@@ -5,6 +5,11 @@ see the angle-tuned index 1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2.
 Biaxial KTP is mapped onto this form for the usual collinear x-cut geometry
 (n_e := n_y, n_o := n_z, theta = 90 deg); see the bundled database notes.
 
+Every source here is collinear type II with one fixed geometry: an
+extraordinary pump (PUMP_POL) gives an extraordinary signal (SIGNAL_POL) and an
+ordinary idler (IDLER_POL). Poled crystals and spacers are cut at
+NONCRITICAL_THETA = pi/2.
+
 The carrier phase mismatch reported everywhere is delta_k = k_p - k_s - k_i.
 """
 
@@ -77,16 +82,13 @@ class RaySpec:
             raise ConfigError(f"theta {self.theta} outside [0, pi/2]")
 
 
-@dataclass(frozen=True)
-class PolarizationRoles:
-    """Which principal index each wave sees. Explicit, never inferred."""
+#: the principal index each wave of the pair geometry sees
+PUMP_POL = Pol.EXTRAORDINARY
+SIGNAL_POL = Pol.EXTRAORDINARY
+IDLER_POL = Pol.ORDINARY
 
-    pump: Pol = Pol.EXTRAORDINARY
-    signal: Pol = Pol.EXTRAORDINARY
-    idler: Pol = Pol.ORDINARY
-
-
-DEFAULT_ROLES = PolarizationRoles()
+#: cut of poled crystals and of spacers: optic axis normal to the beam
+NONCRITICAL_THETA = np.pi / 2
 
 
 def _parse_sellmeier(node):
@@ -197,30 +199,27 @@ def walkoff_angle(model, theta, lambda_um):
     return np.degrees(rho)
 
 
-def group_delays(model, theta, roles, omega0, deriv=None):
+def group_delays(model, theta, omega0, deriv=None):
     """(pump, signal, idler) values of deriv, by default k' (pass gvd for k'',
     _k_derivatives for both), with the pump at 2 omega0 and the pair at omega0."""
     deriv = deriv or inverse_group_velocity
-    waves = ((roles.pump, 2 * omega0), (roles.signal, omega0), (roles.idler, omega0))
+    waves = ((PUMP_POL, 2 * omega0), (SIGNAL_POL, omega0), (IDLER_POL, omega0))
     return tuple(deriv(model, RaySpec(pol, theta), w) for pol, w in waves)
 
 
-def forward_mismatch(material, theta, roles, omega0, nu_s, nu_i, grating=0.0):
+def forward_mismatch(material, theta, omega0, nu_s, nu_i, grating=0.0):
     """D = k_s + k_i - (k_p - grating) at arbitrary detunings."""
     vs = np.asarray(nu_s, dtype=float)
     vi = np.asarray(nu_i, dtype=float)
-    ks = wavenumber(material, RaySpec(roles.signal, theta), omega0 + vs)
-    ki = wavenumber(material, RaySpec(roles.idler, theta), omega0 + vi)
-    kp = wavenumber(material, RaySpec(roles.pump, theta), 2 * omega0 + vs + vi)
+    ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + vs)
+    ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + vi)
+    kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + vs + vi)
     return ks + ki - (kp - grating)
 
 
-def carrier_mismatch(model, theta, lambda_pdc_um, roles=DEFAULT_ROLES, qpm_period=None):
-    """delta_k = k_p - k_s - k_i at degeneracy, minus the grating vector if poled."""
-    dk = -forward_mismatch(model, theta, roles, omega_from_lambda(lambda_pdc_um), 0.0, 0.0)
-    if qpm_period is not None:
-        dk = dk - np.sign(dk) * 2.0 * np.pi / qpm_period
-    return dk
+def carrier_mismatch(model, theta, lambda_pdc_um):
+    """delta_k = k_p - k_s - k_i at degeneracy, without any grating."""
+    return -forward_mismatch(model, theta, omega_from_lambda(lambda_pdc_um), 0.0, 0.0)
 
 
 #: iteration cap of find_root; bisection alone reaches one ulp in about 60
@@ -268,7 +267,7 @@ def find_root(f, a, b):
     raise NumericalFailure(f"find_root: no convergence in {FIND_ROOT_MAXITER} iterations")
 
 
-def phasematching_angle(model, lambda_pdc_um, roles=DEFAULT_ROLES):
+def phasematching_angle(model, lambda_pdc_um):
     """Collinear degenerate phasematching angle (rad), elementwise in lambda.
 
     A 61-point scan in theta brackets the first sign change of the carrier
@@ -277,12 +276,12 @@ def phasematching_angle(model, lambda_pdc_um, roles=DEFAULT_ROLES):
     """
     lam = np.asarray(lambda_pdc_um, dtype=float)
     scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    sign = np.sign(carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam, roles))
+    sign = np.sign(carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam))
     change = sign[:-1] * sign[1:] < 0
     found, first = change.any(axis=0), change.argmax(axis=0)
 
     def f(theta):
-        return carrier_mismatch(model, theta, lam[found], roles)
+        return carrier_mismatch(model, theta, lam[found])
 
     theta = np.full(lam.shape, np.nan)
     theta[found] = find_root(f, scan[first[found]], scan[first[found] + 1])
@@ -297,9 +296,17 @@ def phasematching_angle(model, lambda_pdc_um, roles=DEFAULT_ROLES):
     return float(theta)
 
 
-def qpm_period(model, lambda_pdc_um, theta=np.pi / 2, roles=DEFAULT_ROLES):
-    """First-order poling period Lambda = 2 pi / |delta_k| (um)."""
-    dk = carrier_mismatch(model, theta, lambda_pdc_um, roles)
+def qpm_grating(model, lambda_pdc_um):
+    """First-order grating vector (rad/um) of a crystal cut at NONCRITICAL_THETA:
+    2 pi / Lambda for the poling period Lambda = 2 pi / |delta_k|, signed like
+    delta_k so that delta_k - grating closes the carrier mismatch."""
+    dk = carrier_mismatch(model, NONCRITICAL_THETA, lambda_pdc_um)
     if abs(dk) < 1e-12:
         raise AlreadyMatched("carrier mismatch already below 1e-12 rad/um")
-    return 2.0 * np.pi / abs(dk)
+    # the vector of the period as a float, which can differ from dk by an ulp
+    return 2.0 * np.pi / (2.0 * np.pi / dk)
+
+
+def qpm_period(model, lambda_pdc_um):
+    """First-order poling period Lambda = 2 pi / |grating| (um) at NONCRITICAL_THETA."""
+    return 2.0 * np.pi / abs(qpm_grating(model, lambda_pdc_um))

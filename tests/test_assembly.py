@@ -27,7 +27,15 @@ from biphoton.jsa import (
     _stack_phasematching,
     pump_envelope,
 )
-from biphoton.materials import DispersionModel, Sellmeier, inverse_group_velocity, RaySpec
+from biphoton.materials import (
+    IDLER_POL,
+    PUMP_POL,
+    SIGNAL_POL,
+    DispersionModel,
+    RaySpec,
+    Sellmeier,
+    inverse_group_velocity,
+)
 from biphoton.schmidt import cooperativity, schmidt_decompose
 
 LAMBDA0 = 0.8
@@ -107,7 +115,7 @@ def test_full_turn_per_period_gives_plus_n(db):
     # accumulated phase factor cancel, leaving +N regardless of parity
     crystal = CrystalConfig(db["BBO"], 123.0, 0.5, bp.omega_from_lambda(LAMBDA0))
 
-    def mismatch(material, theta, roles, omega0, grating=0.0):
+    def mismatch(material, theta, omega0, grating=0.0):
         # zero mismatch in the crystal, 1 rad/um in the spacer
         return np.full((8, 8), 0.0 if material is db["BBO"] else 1.0)
 
@@ -189,10 +197,9 @@ def test_design_internal_consistency(db, stack_design):
     assert d.delta_lambda_ridge_spacing_nm == pytest.approx(spacing_nm, rel=1e-12)
     # public mismatch sums match a direct group-velocity computation
     w0 = bp.omega_from_lambda(LAMBDA0)
-    roles = _stack_config(db, d).crystal.roles
-    kp1 = inverse_group_velocity(db["BBO"], RaySpec(roles.pump, d.theta_c_rad), 2 * w0)
-    ks1 = inverse_group_velocity(db["BBO"], RaySpec(roles.signal, d.theta_c_rad), w0)
-    ki1 = inverse_group_velocity(db["BBO"], RaySpec(roles.idler, d.theta_c_rad), w0)
+    kp1 = inverse_group_velocity(db["BBO"], RaySpec(PUMP_POL, d.theta_c_rad), 2 * w0)
+    ks1 = inverse_group_velocity(db["BBO"], RaySpec(SIGNAL_POL, d.theta_c_rad), w0)
+    ki1 = inverse_group_velocity(db["BBO"], RaySpec(IDLER_POL, d.theta_c_rad), w0)
     assert d.mismatch_sum_crystal_ps_um == pytest.approx(
         2 * kp1 - ks1 - ki1, rel=1e-12
     )
@@ -344,10 +351,26 @@ def test_pump_carrier_checked(db, stack_design):
 
 
 def test_isolated_ridge_is_nearly_separable(stack_design, stack_amplitude):
-    iso = isolate_central_ridge(stack_amplitude, stack_design, half_width_nm=20.0)
+    iso = isolate_central_ridge(stack_amplitude, stack_design)
     k = cooperativity(schmidt_decompose(iso))
     assert k < 1.05
     assert abs(iso.norm_squared() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_crystals", [5, 10])
+def test_ridge_cut_keeps_the_grid_edge(db, n_crystals):
+    # the cut runs across the ridge only: on central_ridge_grid the entries of
+    # the edge row and column that lie inside it survive
+    d = design_assembly(db["BBO"], db["CALCITE"], LAMBDA0, n_crystals, 10)
+    cfg = assembly_config_from_design(d, db["BBO"], db["CALCITE"])
+    pump = PumpConfig(omega_p0=2.0 * cfg.crystal.omega0, sigma=d.sigma_pump_rad_ps)
+    ja = assembly_jsa_grid(pump, cfg, central_ridge_grid(d))
+    iso = isolate_central_ridge(ja, d)
+    nu = ja.grid.axis()
+    in_cut = np.abs(nu - nu[0]) < 2.0 * np.pi / (n_crystals * abs(d.t_minus_ps))
+    assert in_cut.sum() > 1
+    assert np.all(iso.values[0, in_cut] != 0.0)
+    assert np.all(iso.values[in_cut, 0] != 0.0)
 
 
 def test_box_window_alone_keeps_sideband_modes(stack_design, stack_amplitude):

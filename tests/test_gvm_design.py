@@ -144,14 +144,6 @@ def test_asymmetric_design_kdp(db):
     assert abs(abs(report.theta_II_deg) - 90.0) < 0.5
 
 
-def test_asymmetric_design_accepts_pump_config(db, kdp_source):
-    _, pump, _ = kdp_source
-    r1, *_ = asymmetric_design(db["KDP"], 0.83, 20_000.0, pump)
-    r2, *_ = asymmetric_design(db["KDP"], 0.83, 20_000.0, 5.0)
-    assert r1.sigma_s == pytest.approx(r2.sigma_s, rel=1e-9)
-    assert r1.sigma_i == pytest.approx(r2.sigma_i, rel=1e-9)
-
-
 # ----------------------------------------------------------- temporal report
 
 

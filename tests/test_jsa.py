@@ -95,6 +95,32 @@ def test_jsa_grid_matches_pointwise_path(db, kdp_source):
         assert np.max(np.abs(direct - bp.jsa_grid(pump, crystal, grid).values)) < 1e-9
 
 
+@pytest.mark.parametrize("source", ["KDP-angle", "KTP-qpm"])
+def test_grating_costs_no_dispersion_calls(db, monkeypatch, source):
+    # a poled crystal carries its grating from construction on, so its grid and
+    # point evaluations need the same wavenumber calls as an unpoled crystal's:
+    # three for the Taylor residual, three for the grid, three per point call
+    if source == "KTP-qpm":
+        crystal = bp.qpm_matched_crystal(db["KTP"], 1.566, 20000.0)
+    else:
+        crystal = bp.angle_matched_crystal(db["KDP"], 0.83, 20000.0)
+    pump = PumpConfig(2.0 * crystal.omega0, bp.sigma_from_fwhm_nm(1.0, crystal.lambda0_um() / 2))
+    grid = bp.default_grid(pump, bp.taylor_coefficients(crystal), n=256)
+    wavenumber, calls = bp.materials.wavenumber, []
+
+    def counted(*args):
+        calls.append(args)
+        return wavenumber(*args)
+
+    for module in (bp.materials, bp.jsa):
+        monkeypatch.setattr(module, "wavenumber", counted)
+    bp.jsa_grid(pump, crystal, grid)
+    assert len(calls) == 6
+    calls.clear()
+    phasematching_sinc(crystal, 0.1, -0.2)
+    assert len(calls) == 3
+
+
 def test_jsa_grid_is_normalized(kdp_source):
     crystal, pump, coeffs = kdp_source
     grid = bp.default_grid(pump, coeffs, n=128)

@@ -210,8 +210,8 @@ def test_qpm_period_cancels_mismatch(db):
     ktp = db["KTP"]
     period = bp.qpm_period(ktp, 1.568)
     assert period > 0
-    residual = bp.carrier_mismatch(ktp, np.pi / 2, 1.568, qpm_period=period)
-    assert abs(residual) < 1e-12
+    dk = bp.carrier_mismatch(ktp, np.pi / 2, 1.568)
+    assert abs(dk - np.sign(dk) * 2.0 * np.pi / period) < 1e-12
 
 
 def test_qpm_period_scales_inversely_with_mismatch():
