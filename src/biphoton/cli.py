@@ -41,7 +41,7 @@ from .gvm_design import (
     gvm_wavelength_search,
     temporal_report,
 )
-from .io import grid_rows, read_bjsa, read_csv, write_bjsa, write_csv, write_table
+from .io import axis_rows, grid_rows, read_bjsa, read_csv, write_bjsa, write_csv, write_table
 from .jsa import (
     FrequencyGrid,
     JointAmplitude,
@@ -354,7 +354,7 @@ def _cmd_schmidt(args):
             args.modes_csv,
             "mode functions as amplitude densities (1/sqrt(rad/ps))",
             ",".join(["nu_rad_ps", *names]),
-            [np.column_stack([ja.grid.axis(), cells])],
+            [axis_rows(ja.grid.axis(), cells)],
         )
     return {
         "command": "schmidt",

@@ -6,11 +6,15 @@ row-major as interleaved (Re, Im) float64 pairs.
 
 Every CSV the package writes has one layout, produced by `write_table`: a
 `# comment` line, a comma-separated header line, then rows of %.17g cells, so
-each float64 parses back bit for bit. There are three tables:
+each float64 parses back bit for bit. The grid tables (`grid_rows`) format each
+axis value once per table and reuse the text in every row, so only the plane
+values cost a %.17g conversion per grid point. There are three tables:
 
 - amplitude (`write_csv`, `read_csv`): header `nu_s,nu_i,re_f,im_f`, one row
   per grid point with the signal detuning varying slowest; the comment holds
-  `omega0_rad_ps=... half_span_rad_ps=... n=...`.
+  `omega0_rad_ps=... half_span_rad_ps=... n=...`. `read_csv` accepts rows in any
+  order but requires both detuning columns to sample the centred uniform grid
+  to 1e-6 of its step.
 - intensity (`jsi.csv`, `jti.csv`): header `<axis>_row,<axis>_col,intensity`
   with axis `nu_rad_ps` or `t_ps`, rows in the same order.
 - modes (`schmidt --modes-csv`): header `nu_rad_ps` then
@@ -37,7 +41,7 @@ def write_bjsa(ja, path):
     g = ja.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, float(g.n), g.omega0, g.half_span))
-        fh.write(np.ascontiguousarray(ja.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(ja.values, dtype="<c16").data)
 
 
 def read_bjsa(path):
@@ -63,23 +67,35 @@ def read_bjsa(path):
 
 
 def write_table(path, comment, header, blocks):
-    """`# comment`, the header, then each 2-D float block's rows in C order as %.17g
-    cells, one % on a row template per block, so large tables stream block by block."""
+    """`# comment`, the header, then each text block in turn, so large tables stream
+    block by block. Lines end in a bare newline on every platform."""
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     with fh:
         fh.write(f"# {comment}\n{header}\n")
-        for block in blocks:
-            rows, cols = block.shape
-            fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist()))
+        fh.writelines(blocks)
+
+
+def axis_rows(axis, cells):
+    """One write_table block: line k holds axis[k], then the cells of row k, all %.17g."""
+    tail = ",%.17g" * cells.shape[1] + "\n"
+    return "".join(["%.17g" % v + tail for v in axis.tolist()]) % tuple(cells.ravel().tolist())
 
 
 def grid_rows(axis, *planes):
-    """write_table blocks (row axis, column axis, *planes[j]), one per grid row j."""
-    for j, a in enumerate(axis):
-        yield np.column_stack([np.full(axis.size, a), axis, *(p[j] for p in planes)])
+    """write_table blocks, one per grid row j: line k holds axis[j], axis[k], then
+    planes[0][j, k], planes[1][j, k], ... as %.17g cells.
+
+    Each axis value is formatted once per table. The column cells sit in one line
+    template; a grid row joins the template on its row cell and applies one % to
+    its own plane values."""
+    cells = ["%.17g" % v for v in axis.tolist()]
+    tail = ",%.17g" * len(planes) + "\n"
+    template = ["", *(c + tail for c in cells)]
+    for cell, *values in zip(cells, *planes):
+        yield (cell + ",").join(template) % tuple(np.column_stack(values).ravel().tolist())
 
 
 def write_csv(ja, path):
@@ -122,6 +138,18 @@ def read_csv(path):
     # the canonical axis starts at exactly -half_span, so -nu_min restores the
     # stored width bit for bit; 0.5 n (nu[1] - nu[0]) would pick up ulp noise
     grid = FrequencyGrid(omega0=omega0, half_span=-float(nu_s[0]), n=n)
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    vals = (data[order, 2] + 1j * data[order, 3]).reshape(n, n)
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
+    # both columns must sample that grid to 1e-6 of its step, nu_s in blocks of n
+    # and nu_i repeating within each block; package-written files match it exactly
+    axis = grid.axis()
+    tol = 1e-6 * grid.spacing
+    if (
+        np.abs(data[:, 0].reshape(n, n) - axis[:, None]).max() > tol
+        or np.abs(data[:, 1].reshape(n, n) - axis).max() > tol
+    ):
+        raise ConfigError(
+            f"CSV nu_s, nu_i columns are not the centred uniform {n} x {n} grid "
+            f"of half span {grid.half_span!r} rad/ps"
+        )
+    vals = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
     return JointAmplitude(grid, vals, domain="spectral")

@@ -9,9 +9,25 @@ import pytest
 
 import biphoton as bp
 from biphoton import io
+from biphoton.cli import main
 from biphoton.jsa import joint_temporal_intensity
 
 from conftest import correlated_gaussian
+
+
+def _reference_table(path, comment, header, blocks):
+    """The one-%-per-block writer the package used before its grid tables formatted
+    each axis value once: every cell of every 2-D float block goes through %.17g."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        for block in blocks:
+            rows, cols = block.shape
+            fh.write((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist()))
+
+
+def _reference_grid_rows(axis, *planes):
+    for j, a in enumerate(axis):
+        yield np.column_stack([np.full(axis.size, a), axis, *(p[j] for p in planes)])
 
 
 def _sample_amplitude(n=64):
@@ -154,3 +170,102 @@ def test_csv_rejects_non_finite_cells(tmp_path, bad):
     io.write_csv(ja, path)
     with pytest.raises(bp.ConfigError, match="NaN or infinite"):
         io.read_csv(path)
+
+
+def _assert_matches_reference(path, blocks):
+    """The file's bytes equal the reference writer's on its own comment and header."""
+    comment, header = path.read_text().splitlines()[:2]
+    ref = path.with_name("ref_" + path.name)
+    _reference_table(ref, comment[2:], header, blocks)
+    assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_exports_match_reference_writer(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    size = ["--grid-n", str(n), "--out-dir", str(out)]
+    kdp = ["--material", "KDP", "--lambda-nm", "830", "--length-mm", "20", "--pump-fwhm-nm", "5"]
+    assert main(["analyze", *kdp, *size]) == 0
+    assert main(["schmidt", "--in", str(out / "jsa.bjsa"), "--modes-csv", str(out / "modes.csv")]) == 0
+    stack = ["--crystal", "BBO", "--spacer", "CALCITE", "--lambda-nm", "800",
+             "--n-crystals", "10", "--m", "10"]
+    assert main(["design-assembly", *stack, *size]) == 0
+    capsys.readouterr()
+
+    ja = io.read_bjsa(out / "jsa.bjsa")
+    jti = joint_temporal_intensity(ja)
+    stack_ja = io.read_bjsa(out / "assembly_jsa.bjsa")
+    spectrum = bp.herald_metrics(ja, bp.SpectralFilter.unit()).spectrum
+    k = min(4, spectrum.lambdas.size)
+    modes = np.stack([spectrum.signal_modes[:, :k], spectrum.idler_modes[:, :k]], axis=2)
+    cells = (modes / np.sqrt(ja.grid.spacing)).view(float).reshape(n, 4 * k)
+    axis = ja.grid.axis()
+    expected = {
+        "jsa.csv": _reference_grid_rows(axis, ja.values.real, ja.values.imag),
+        "jsi.csv": _reference_grid_rows(axis, np.abs(ja.values) ** 2),
+        "jti.csv": _reference_grid_rows(jti.grid.axis(), np.abs(jti.values) ** 2),
+        "assembly_jsa.csv": _reference_grid_rows(
+            stack_ja.grid.axis(), stack_ja.values.real, stack_ja.values.imag
+        ),
+        "modes.csv": [np.column_stack([axis, cells])],
+    }
+    for name, blocks in expected.items():
+        _assert_matches_reference(out / name, blocks)
+
+
+def test_special_cells_match_reference_writer(tmp_path):
+    """NaN, infinities, signed zeros, subnormals and exponent-form cells, in the
+    plane values and in the axis, come out as the reference writer's bytes."""
+    ja = _sample_amplitude(n=32)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300,
+               -1.2345678901234567e-20, 6.02214076e23, 1e16, 0.1, 1 / 3]
+    ja.values.real.ravel()[: len(special)] = special
+    ja.values.imag.ravel()[-len(special):] = special[::-1]
+    path = tmp_path / "special.csv"
+    io.write_csv(ja, path)
+    _assert_matches_reference(path, _reference_grid_rows(ja.grid.axis(), ja.values.real, ja.values.imag))
+
+    axis = ja.grid.axis().copy()
+    axis[: len(special)] = special
+    path = tmp_path / "special_axis.csv"
+    io.write_table(path, "c", "x_row,x_col,intensity", io.grid_rows(axis, ja.values.real))
+    _assert_matches_reference(path, _reference_grid_rows(axis, ja.values.real))
+
+    path = tmp_path / "special_modes.csv"
+    io.write_table(path, "c", "x,a,b", [io.axis_rows(axis, ja.values.real[:, :2])])
+    _assert_matches_reference(path, [np.column_stack([axis, ja.values.real[:, :2]])])
+
+
+def _rewrite_axes(path, nu_s, nu_i):
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    rows[:, 0] = nu_s(rows[:, 0])
+    rows[:, 1] = nu_i(rows[:, 1])
+    lines = path.read_text().splitlines(keepends=True)[:2]
+    path.write_text("".join(lines) + "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(r) for r in rows))
+
+
+def _duplicate_one_pair(path):
+    lines = path.read_text().splitlines(keepends=True)
+    # row 3 is (nu_s[0], nu_i[1]); make it a second (nu_s[0], nu_i[0])
+    lines[3] = ",".join(lines[2].split(",")[:2] + lines[3].split(",")[2:])
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: _rewrite_axes(p, lambda s: s + 1.0, lambda i: i + 1.0),
+        lambda p: _rewrite_axes(p, lambda s: s, lambda i: 3.0 * i),
+        lambda p: _rewrite_axes(p, lambda s: s + 1e-5 * s**3, lambda i: i + 1e-5 * i**3),
+        _duplicate_one_pair,
+    ],
+    ids=["shifted", "nu_i-3x", "non-uniform", "duplicate-pair"],
+)
+def test_csv_rejects_axes_off_the_grid(tmp_path, capsys, corrupt):
+    path = tmp_path / "amp.csv"
+    io.write_csv(_sample_amplitude(n=32), path)
+    corrupt(path)
+    with pytest.raises(bp.ConfigError, match="not the centred uniform"):
+        io.read_csv(path)
+    assert main(["schmidt", "--in", str(path)]) == 2
+    assert "not the centred uniform" in capsys.readouterr().err
