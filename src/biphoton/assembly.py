@@ -33,7 +33,13 @@ from .jsa import (
     _stack_phasematching,
     upsilon,
 )
-from .materials import NONCRITICAL_THETA, forward_mismatch, group_delays, phasematching_angle
+from .materials import (
+    NONCRITICAL_THETA,
+    carrier_mismatch,
+    forward_mismatch,
+    group_delays,
+    phasematching_angle,
+)
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,7 @@ def quantize_spacer(spacer_material, lambda_um, m_integer):
     """
     if int(m_integer) < 1:
         raise ConfigError("m must be a positive integer")
-    w0 = omega_from_lambda(lambda_um)
-    dk0 = -forward_mismatch(spacer_material, NONCRITICAL_THETA, w0, 0.0, 0.0)
+    dk0 = carrier_mismatch(spacer_material, NONCRITICAL_THETA, lambda_um)
     if abs(dk0) < 1e-9:
         raise ZeroMismatch("spacer carrier mismatch vanishes; nothing to quantize")
     h_min = 2.0 * np.pi / abs(dk0)

@@ -1,9 +1,9 @@
 """Factorizability analysis and group-velocity-matched source design.
 
-Within the Gaussian model the joint amplitude separates exactly when
+In the Gaussian model (jsa.gaussian_form) the joint amplitude separates exactly when b = 0:
 
-    (1)  4/sigma^2 + gamma tau_s tau_i = 0      (magnitude mixed term)
-    (2)  2 beta_t + beta_p / 2 = 0              (phase mixed term)
+    (1)  Re b = 1/sigma^2 + (gamma/4) tau_s tau_i = 0     (magnitude mixed term)
+    (2)  Im b = -(beta_t + beta_p/4) = 0                  (phase mixed term)
 
 Condition (1) fixes the pump bandwidth whenever the two group-velocity
 mismatches straddle the pump (tau_s tau_i < 0); condition (2) fixes the pump
@@ -20,6 +20,7 @@ from .errors import ConfigError, NotAsymmetric
 from .jsa import (
     PumpConfig,
     angle_matched_crystal,
+    gaussian_form,
     marginal_sigmas,
     qpm_matched_crystal,
     taylor_coefficients,
@@ -34,11 +35,12 @@ SCAN_POINTS = 64
 class FactorizabilityReport:
     """How close a pump/crystal pair is to emitting a separable state.
 
-    cond1_residual is (4/sigma^2 + gamma tau_s tau_i) normalized by 4/sigma^2;
+    cond1_residual is sigma^2 Re b, condition (1) normalized by 1/sigma^2;
     required_sigma is the bandwidth closing condition (1), None when the
-    mismatch signs forbid it; beta_t_star closes condition (2). Widths are the
-    Gaussian-model marginals, aspect_ratio_r = max/min >= 1, theta_II_deg is
-    the phasematching ridge angle, gvm_residual = tau_s + tau_i (ps).
+    mismatch signs forbid it; beta_t_star closes condition (2). sigma_s, sigma_i
+    are jsa.marginal_sigmas, the slice widths (Re a)^-1/2 and (Re c)^-1/2 at zero
+    detuning of the other photon, not the marginals; aspect_ratio_r = max/min >= 1,
+    theta_II_deg is the phasematching ridge angle, gvm_residual = tau_s + tau_i (ps).
     """
 
     cond1_residual: float
@@ -59,16 +61,11 @@ def _separable_sigma(coeffs):
 
 def factorizability_report(pump, coeffs):
     ts, ti = coeffs.tau_s, coeffs.tau_i
-    base = 4.0 / pump.sigma**2
-    cond1 = (base + GAMMA_SINC * ts * ti) / base
     sig_s, sig_i = marginal_sigmas(pump, coeffs)
     r = max(sig_s / sig_i, sig_i / sig_s)
-    if ti != 0.0:
-        theta = np.degrees(np.arctan(-ts / ti))
-    else:
-        theta = 90.0
+    theta = np.degrees(np.arctan(-ts / ti)) if ti != 0.0 else 90.0
     return FactorizabilityReport(
-        cond1_residual=float(cond1),
+        cond1_residual=float(pump.sigma**2 * gaussian_form(pump, coeffs)[1].real),
         required_sigma=_separable_sigma(coeffs),
         beta_t_star=float(-coeffs.beta_p / 4.0),
         sigma_s=float(sig_s),
@@ -210,37 +207,22 @@ class TemporalReport:
 def temporal_report(pump, coeffs):
     """Exact Gaussian-model temporal metrics via the complex covariance.
 
-    Valid in the magnitude-separable regime (condition (1) satisfied), where
-    the spectral exponent is -nu^T M nu with
-    M = [[1/sig_s^2 - i c_s, -i c_mix/2], [-i c_mix/2, 1/sig_i^2 - i c_i]],
-    c_s = beta_t + beta_s/2, c_i = beta_t + beta_i/2, c_mix = 2 beta_t + beta_p/2.
+    Valid in the magnitude-separable regime (condition (1) satisfied, Re b = 0),
+    where with jsa.gaussian_form's (a, b, c) the spectral exponent is
+    -nu^T M nu with M = [[a, i Im b], [i Im b, c]]; Re b is dropped.
     Fourier transforming, the JTI is exp(-t^T R t / 2) with R = Re(M^{-1}),
     so dt_mu = 2 / sqrt(R_mumu) and sigma_M^2 = R_01 / 2.
     """
-    sig_s, sig_i = marginal_sigmas(pump, coeffs)
-    c_s = pump.beta_t + 0.5 * coeffs.beta_s
-    c_i = pump.beta_t + 0.5 * coeffs.beta_i
-    c_mix = 2.0 * pump.beta_t + 0.5 * coeffs.beta_p
-    M = np.array(
-        [
-            [1.0 / sig_s**2 - 1j * c_s, -0.5j * c_mix],
-            [-0.5j * c_mix, 1.0 / sig_i**2 - 1j * c_i],
-        ]
-    )
+    a, b, c = gaussian_form(pump, coeffs)
+    M = np.array([[a, 1j * b.imag], [1j * b.imag, c]])
     R = np.linalg.inv(M).real
-    dt_s = 2.0 / np.sqrt(R[0, 0])
-    dt_i = 2.0 / np.sqrt(R[1, 1])
-    sigma_m_sq = 0.5 * R[0, 1]
-    # long-crystal estimate: broad photon keeps the pump width, narrow one
-    # collapses; expanding R in 1/sig_narrow^2 gives the leading mixed term
-    if sig_s >= sig_i:
-        sig_b, sig_n, c_b = sig_s, sig_i, c_s
-    else:
-        sig_b, sig_n, c_b = sig_i, sig_s, c_i
-    asym = -c_mix * c_b * sig_n**2 * sig_b**4 / (4.0 * (1.0 + sig_b**4 * c_b**2))
+    # long-crystal estimate: the broad photon (smaller Re) keeps the pump width and
+    # the narrow one collapses; R to first order in 1/Re of the narrow one
+    broad, narrow = (a, c) if a.real <= c.real else (c, a)
+    asym = -b.imag * broad.imag / (2.0 * narrow.real * abs(broad) ** 2)
     return TemporalReport(
-        dt_s=float(dt_s),
-        dt_i=float(dt_i),
-        sigma_M_sq=float(sigma_m_sq),
+        dt_s=float(2.0 / np.sqrt(R[0, 0])),
+        dt_i=float(2.0 / np.sqrt(R[1, 1])),
+        sigma_M_sq=float(0.5 * R[0, 1]),
         sigma_M_sq_asymptotic=float(asym),
     )

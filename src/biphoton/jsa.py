@@ -125,13 +125,24 @@ def taylor_coefficients(crystal):
     )
 
 
+def gaussian_form(pump, coeffs):
+    """Complex (a, b, c) of the Gaussian-model exponent -(a nu_s^2 + 2 b nu_s nu_i
+    + c nu_i^2) + i (tau_s nu_s + tau_i nu_i)/2; the amplitude factorizes exactly
+    when b = 0 (Grice, U'Ren & Walmsley, PRA 64, 063815)."""
+    s2, g4 = pump.sigma**-2, 0.25 * GAMMA_SINC
+    ts, ti, bt = coeffs.tau_s, coeffs.tau_i, pump.beta_t
+    a = complex(s2 + g4 * ts**2, -(bt + 0.5 * coeffs.beta_s))
+    b = complex(s2 + g4 * ts * ti, -(bt + 0.25 * coeffs.beta_p))
+    c = complex(s2 + g4 * ti**2, -(bt + 0.5 * coeffs.beta_i))
+    return a, b, c
+
+
 def marginal_sigmas(pump, coeffs):
-    """Gaussian-model 1/e amplitude half-widths of the two marginals (rad/ps)."""
-    s = pump.sigma
-    g = GAMMA_SINC
-    sig_s = 2.0 * s / np.sqrt(4.0 + g * s**2 * coeffs.tau_s**2)
-    sig_i = 2.0 * s / np.sqrt(4.0 + g * s**2 * coeffs.tau_i**2)
-    return sig_s, sig_i
+    """Gaussian-model 1/e amplitude half-widths (rad/ps) of the signal slice at
+    zero idler detuning and of the idler slice at zero signal detuning,
+    (Re a)^-1/2 and (Re c)^-1/2; they are the marginals' widths only when b = 0."""
+    a, _, c = gaussian_form(pump, coeffs)
+    return a.real**-0.5, c.real**-0.5
 
 
 class _SquareGrid:
@@ -265,15 +276,15 @@ def phasematching_sinc(crystal, nu_s, nu_i):
 
 
 def gaussian_model(pump, coeffs, nu_s, nu_i):
-    """Gaussian-approximated amplitude at arbitrary points (not normalized)."""
+    """Gaussian-approximated amplitude at arbitrary points (not normalized):
+    exp(-(a nu_s^2 + 2 b nu_s nu_i + c nu_i^2) + i (tau_s nu_s + tau_i nu_i)/2)."""
     vs = np.asarray(nu_s, dtype=float)
     vi = np.asarray(nu_i, dtype=float)
-    vsum = vs + vi
-    lin = coeffs.tau_s * vs + coeffs.tau_i * vi
-    logmag = -((vsum / pump.sigma) ** 2) - 0.25 * GAMMA_SINC * lin**2
-    phase = pump.beta_t * vsum**2 + 0.5 * (
-        lin + coeffs.beta_s * vs**2 + coeffs.beta_i * vi**2 + coeffs.beta_p * vs * vi
-    )
+    a, b, c = gaussian_form(pump, coeffs)
+    # real arithmetic; on a grid only the sums and the mixed terms are n x n
+    logmag = -a.real * vs**2 - c.real * vi**2 - 2.0 * b.real * vs * vi
+    phase = (0.5 * coeffs.tau_s - a.imag * vs) * vs + (0.5 * coeffs.tau_i - c.imag * vi) * vi
+    phase = phase - 2.0 * b.imag * vs * vi
     return np.exp(logmag + 1j * phase)
 
 
@@ -306,11 +317,10 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
     coeffs = taylor_coefficients(crystal)
     if grid is None:
         grid = default_grid(pump, coeffs)
-    sig_s, sig_i = marginal_sigmas(pump, coeffs)
-    if grid.half_span < min(sig_s, sig_i) / 10.0:
+    narrow = min(marginal_sigmas(pump, coeffs))
+    if grid.half_span < narrow / 10.0:
         raise DegenerateGrid(
-            f"half_span {grid.half_span:.3g} cannot resolve marginal width "
-            f"{min(sig_s, sig_i):.3g}"
+            f"half_span {grid.half_span:.3g} cannot resolve zero-detuning slice width {narrow:.3g}"
         )
     if model == "full_sinc":
         return _stack_on_grid(pump, crystal, grid)

@@ -92,35 +92,37 @@ NONCRITICAL_THETA = np.pi / 2
 
 
 def _parse_sellmeier(node):
-    return Sellmeier(
-        c0=float(node["c0"]),
-        terms=tuple(tuple(float(x) for x in t) for t in node["terms"]),
-        lambda_sq=float(node.get("lambda_sq", 0.0)),
-    )
+    terms = tuple(tuple(float(x) for x in t) for t in node["terms"])
+    if any(len(t) != 3 for t in terms):
+        raise ValueError("a Sellmeier term must hold three numbers (A, B, D)")
+    return Sellmeier(float(node["c0"]), terms, float(node.get("lambda_sq", 0.0)))
 
 
 def load_database(path=None):
-    """Load the materials database; env var overrides the bundled file."""
+    """Load the materials database; env var overrides the bundled file. A file
+    or material entry that cannot be parsed raises ConfigError naming it."""
     if path is None:
         path = os.environ.get(ENV_MATERIALS_PATH)
-    if path is None:
-        text = resources.files("biphoton.data").joinpath("materials.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
-    if "materials" not in raw:
-        raise ConfigError("materials database missing 'materials' key")
-    db = {}
-    for name, node in raw["materials"].items():
-        lo, hi = node["valid_range"]
-        db[name.upper()] = DispersionModel(
-            material_id=name.upper(),
-            sellmeier_o=_parse_sellmeier(node["sellmeier_o"]),
-            sellmeier_e=_parse_sellmeier(node["sellmeier_e"]),
-            valid_range=(float(lo), float(hi)),
-            source=str(node.get("source", "")),
-        )
+    where = "bundled materials database" if path is None else f"materials database {path}"
+    db, name = {}, None
+    try:
+        if path is None:
+            text = resources.files("biphoton.data").joinpath("materials.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        for name, node in json.loads(text)["materials"].items():
+            lo, hi = node["valid_range"]
+            db[name.upper()] = DispersionModel(
+                material_id=name.upper(),
+                sellmeier_o=_parse_sellmeier(node["sellmeier_o"]),
+                sellmeier_e=_parse_sellmeier(node["sellmeier_e"]),
+                valid_range=(float(lo), float(hi)),
+                source=str(node.get("source", "")),
+            )
+    except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        entry = "" if name is None else f", material {name!r}"
+        raise ConfigError(f"{where}{entry}: {type(exc).__name__}: {exc}") from exc
     return db
 
 

@@ -407,6 +407,49 @@ def test_materials_database_env_override(tmp_path):
 # -------------------------------------------------------------- error paths
 
 
+TOY_MATERIAL = {
+    "sellmeier_o": {"c0": 2.25, "terms": [[0.01, 0.0, 0.02]]},
+    "sellmeier_e": {"c0": 2.25, "terms": []},
+    "valid_range": [0.2, 2.0],
+}
+# None is a missing file, a string the file's text, a dict the one material's entry
+BAD_DATABASES = {
+    "missing-file": None,
+    "not-json": "materials: {toy}",
+    "no-sellmeier-e": {k: v for k, v in TOY_MATERIAL.items() if k != "sellmeier_e"},
+    "two-number-term": {**TOY_MATERIAL, "sellmeier_o": {"c0": 2.0, "terms": [[0.1, 0.2]]}},
+    "one-element-range": {**TOY_MATERIAL, "valid_range": [0.2]},
+    "non-numeric-c0": {**TOY_MATERIAL, "sellmeier_e": {"c0": "abc", "terms": []}},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DATABASES))
+def test_malformed_materials_database_exits_2(tmp_path, case):
+    text = BAD_DATABASES[case]
+    path = tmp_path / "mats.json"
+    if isinstance(text, dict):
+        path.write_text(json.dumps({"materials": {"toy": text}}))
+    elif text is not None:
+        path.write_text(text)
+    proc = run_cli(
+        "materials",
+        "--material",
+        "TOY",
+        "--ray",
+        "o",
+        "--lambda-nm",
+        "800",
+        env_extra={"BIPHOTON_MATERIALS_PATH": str(path)},
+    )
+    doc = parse_error(proc, 2)
+    assert doc["error"] == "ConfigError"
+    assert str(path) in doc["message"]
+    if isinstance(text, dict):
+        assert "material 'toy'" in doc["message"]
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_missing_flag_exits_2():
     for argv, flag in (
         (("materials", "--material", "KDP", "--ray", "o"), "--lambda-nm"),

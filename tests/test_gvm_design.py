@@ -18,10 +18,13 @@ from biphoton.jsa import (
     JointAmplitude,
     PumpConfig,
     TaylorCoefficients,
+    angle_matched_crystal,
     default_grid,
+    gaussian_form,
     gaussian_model,
     joint_temporal_intensity,
     marginal_sigmas,
+    qpm_matched_crystal,
     taylor_coefficients,
 )
 
@@ -229,3 +232,105 @@ def test_mixed_term_decays_quadratically_with_length(db, kdp_source):
     ratio = reports[1].sigma_M_sq / reports[0].sigma_M_sq
     assert ratio == pytest.approx(0.26864871039475385, rel=1e-10)
     assert ratio == pytest.approx(0.25, rel=0.10)
+
+
+# ------------------------------------- one quadratic form: b = 0 is separable
+
+
+def _gaussian_k(pump, coeffs):
+    grid = default_grid(pump, coeffs, n=256)
+    nu = grid.axis()
+    vals = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2)) * grid.spacing
+    return bp.herald_metrics(JointAmplitude(grid, vals)).cooperativity_K
+
+
+def test_b_zero_is_the_separability_condition():
+    sigma = 25.0
+    tau = 2.0 / (np.sqrt(GAMMA) * sigma)
+    w0 = bp.omega_from_lambda(0.8)
+    coeffs = synthetic_coeffs(tau_s=tau, tau_i=-tau, beta_p=0.05)
+    star = PumpConfig(omega_p0=2.0 * w0, sigma=sigma, beta_t=-coeffs.beta_p / 4.0)
+    assert gaussian_form(star, coeffs)[1] == 0.0
+    assert _gaussian_k(star, coeffs) - 1.0 == 0.0
+    # Im b != 0: condition (2) fails, the unchirped pump leaves a phase correlation
+    plain = PumpConfig(omega_p0=2.0 * w0, sigma=sigma)
+    assert _gaussian_k(plain, coeffs) == pytest.approx(4.03, abs=5e-3)
+    # Re b != 0: condition (1) fails
+    unmatched = synthetic_coeffs(tau_s=tau, tau_i=-tau / 2.0, beta_p=0.05)
+    assert _gaussian_k(star, unmatched) == pytest.approx(1.054, abs=5e-4)
+
+
+def _real_source(db, material, lambda_um, length_um, fwhm_nm, scheme="angle", chirp=0.0):
+    matched = angle_matched_crystal if scheme == "angle" else qpm_matched_crystal
+    crystal = matched(db[material], lambda_um, length_um)
+    sigma = bp.sigma_from_fwhm_nm(fwhm_nm, lambda_um / 2.0)
+    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma, beta_t=chirp)
+    return pump, taylor_coefficients(crystal)
+
+
+def _synthetic_source(sigma, beta_t, *taylor):
+    pump = PumpConfig(omega_p0=2.0 * bp.omega_from_lambda(0.8), sigma=sigma, beta_t=beta_t)
+    return pump, synthetic_coeffs(*taylor)
+
+
+_TAU = 2.0 / (np.sqrt(GAMMA) * 25.0)
+REFERENCE_SOURCES = {
+    "KDP": lambda db: _real_source(db, "KDP", 0.83, 20_000.0, 5.0),
+    "KDP-chirped": lambda db: _real_source(db, "KDP", 0.83, 20_000.0, 5.0, chirp=0.015),
+    "BBO-800": lambda db: _real_source(db, "BBO", 0.8, 2_000.0, 1.0),
+    "BBO-732": lambda db: _real_source(db, "BBO", 0.73267, 4_708.0, 2.751),
+    "KTP-qpm": lambda db: _real_source(db, "KTP", 1.566, 20_000.0, 1.5, scheme="qpm"),
+    "b=0": lambda db: _synthetic_source(25.0, -0.0125, _TAU, -_TAU, 0.0, 0.0, 0.05),
+    "Im-b": lambda db: _synthetic_source(25.0, 0.0, _TAU, -_TAU, 0.0, 0.0, 0.05),
+    "Re-b": lambda db: _synthetic_source(25.0, -0.0125, _TAU, -_TAU / 2.0, 0.0, 0.0, 0.05),
+    "straddle": lambda db: _synthetic_source(12.0, 0.01, 0.8, -0.3, 0.013, -0.004, 0.06),
+    "asymmetric": lambda db: _synthetic_source(7.0, -0.003, -2.5, 0.05, -0.02, 0.03, 0.1),
+}
+
+
+def _reference_report(pump, coeffs):
+    """Slice widths, cond1, temporal metrics and the amplitude on the default
+    grid, each written out term by term from sigma, tau and beta."""
+    s, ts, ti, bt = pump.sigma, coeffs.tau_s, coeffs.tau_i, pump.beta_t
+    sig_s = 2.0 * s / np.sqrt(4.0 + GAMMA * s**2 * ts**2)
+    sig_i = 2.0 * s / np.sqrt(4.0 + GAMMA * s**2 * ti**2)
+    cond1 = (4.0 / s**2 + GAMMA * ts * ti) / (4.0 / s**2)
+    c_s, c_i = bt + 0.5 * coeffs.beta_s, bt + 0.5 * coeffs.beta_i
+    c_mix = 2.0 * bt + 0.5 * coeffs.beta_p
+    M = np.array(
+        [
+            [1.0 / sig_s**2 - 1j * c_s, -0.5j * c_mix],
+            [-0.5j * c_mix, 1.0 / sig_i**2 - 1j * c_i],
+        ]
+    )
+    R = np.linalg.inv(M).real
+    sig_b, sig_n, c_b = (sig_s, sig_i, c_s) if sig_s >= sig_i else (sig_i, sig_s, c_i)
+    asym = -c_mix * c_b * sig_n**2 * sig_b**4 / (4.0 * (1.0 + sig_b**4 * c_b**2))
+    temporal = (2.0 / np.sqrt(R[0, 0]), 2.0 / np.sqrt(R[1, 1]), 0.5 * R[0, 1], asym)
+    nu = default_grid(pump, coeffs, n=256).axis()
+    vs, vi = nu[:, None], nu[None, :]
+    lin = ts * vs + ti * vi
+    logmag = -(((vs + vi) / s) ** 2) - 0.25 * GAMMA * lin**2
+    phase = bt * (vs + vi) ** 2 + 0.5 * (
+        lin + coeffs.beta_s * vs**2 + coeffs.beta_i * vi**2 + coeffs.beta_p * vs * vi
+    )
+    return (sig_s, sig_i), cond1, temporal, np.exp(logmag + 1j * phase)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SOURCES))
+def test_gaussian_form_matches_the_term_by_term_reference(db, name):
+    pump, coeffs = REFERENCE_SOURCES[name](db)
+    widths, cond1, temporal, amplitude = _reference_report(pump, coeffs)
+    assert marginal_sigmas(pump, coeffs) == pytest.approx(widths, rel=1e-13, abs=0.0)
+    rep = factorizability_report(pump, coeffs)
+    assert (rep.sigma_s, rep.sigma_i) == pytest.approx(widths, rel=1e-13, abs=0.0)
+    # cond1 is normalized by 1/sigma^2, so its terms are of order 1
+    assert rep.cond1_residual == pytest.approx(cond1, rel=1e-13, abs=1e-13)
+    t = temporal_report(pump, coeffs)
+    got = (t.dt_s, t.dt_i, t.sigma_M_sq, t.sigma_M_sq_asymptotic)
+    assert got == pytest.approx(temporal, rel=1e-13, abs=0.0)
+    # the exponents round differently, so compare to the peak, not per point
+    nu = default_grid(pump, coeffs, n=256).axis()
+    values = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
+    assert np.max(np.abs(values - amplitude)) <= 1e-13 * np.max(np.abs(amplitude))
