@@ -68,6 +68,7 @@ from .jsa import (
     joint_temporal_intensity,
     jsa_grid,
     marginal_sigmas,
+    matched_source,
     phasematching_sinc,
     pump_envelope,
     qpm_matched_crystal,

@@ -1,13 +1,16 @@
 """Command-line front end: human units in, deterministic JSON out.
 
-All boundary conversions (nm, mm, degrees, nm-FWHM bandwidths) happen in this
-module; everything below it speaks um, ps, rad/ps. Reports are emitted as JSON
-with sorted keys so identical configs produce bit-identical output, and every
-report validates against schemas/cli_output.schema.json. Domain errors exit 2
-(configuration) or 3 (numerical) with a one-line error JSON on stderr.
+All boundary conversions (nm, mm, degrees) happen in this module; everything
+below it speaks um, ps, rad/ps. The one exception is a pump's nm-FWHM
+bandwidth: jsa.matched_source, which builds every single-crystal source, turns
+it into sigma. Reports are emitted as JSON with sorted keys so identical
+configs produce bit-identical output, and every report validates against
+schemas/cli_output.schema.json. Domain errors exit 2 (configuration) or 3
+(numerical) with a one-line error JSON on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -26,13 +29,7 @@ from .assembly import (
     ridge_slope,
     upsilon,
 )
-from .constants import (
-    GAMMA_SINC,
-    domega_from_dlambda,
-    fwhm_nm_from_sigma,
-    omega_from_lambda,
-    sigma_from_fwhm_nm,
-)
+from .constants import GAMMA_SINC, domega_from_dlambda, fwhm_nm_from_sigma, omega_from_lambda
 from .errors import ConfigError, SolverError
 from .gvm_design import (
     asymmetric_design,
@@ -48,13 +45,12 @@ from .jsa import (
     PumpConfig,
     TaylorCoefficients,
     _normalized,
-    angle_matched_crystal,
     default_grid,
     gaussian_model,
     intensity_correlation,
     joint_temporal_intensity,
     jsa_grid,
-    qpm_matched_crystal,
+    matched_source,
     taylor_coefficients,
 )
 from .materials import (
@@ -158,7 +154,9 @@ def _config_flags(path):
     return [f"--{key}={val}" for key, val in cfg.items()]
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process; parsing leaves it unchanged."""
     p = _Parser(prog="biphoton", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command")
     sub.required = True
@@ -253,38 +251,40 @@ def _cmd_materials(args):
     }
 
 
+def _source_report(args, crystal, pump, coeffs):
+    """The keys `analyze` and `design-asymmetric` share: the request and the source."""
+    return {
+        "command": args.command,
+        "material": crystal.material.material_id,
+        "scheme": args.scheme,
+        "theta_deg": deg_from_rad(crystal.theta),
+        "lambda_nm": args.lambda_nm,
+        "length_mm": args.length_mm,
+        "taylor": asdict(coeffs),
+        "factorizability": asdict(factorizability_report(pump, coeffs)),
+        "temporal": asdict(temporal_report(pump, coeffs)),
+    }
+
+
 def _cmd_analyze(args):
     _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    material = get_material(args.material)
-    lam = um_from_nm(args.lambda_nm)
-    matched_crystal = qpm_matched_crystal if args.scheme == "qpm" else angle_matched_crystal
-    crystal = matched_crystal(material, lam, um_from_mm(args.length_mm))
-    sigma = sigma_from_fwhm_nm(args.pump_fwhm_nm, lam / 2.0)
-    pump = PumpConfig(
-        omega_p0=2.0 * crystal.omega0, sigma=sigma, beta_t=args.pump_chirp_ps2
+    crystal, pump, coeffs = matched_source(
+        get_material(args.material), um_from_nm(args.lambda_nm), um_from_mm(args.length_mm),
+        args.pump_fwhm_nm, args.scheme, args.pump_chirp_ps2,
     )
-    coeffs = taylor_coefficients(crystal)
     grid = default_grid(pump, coeffs, n=args.grid_n, span_factor=args.span_factor)
     ja = jsa_grid(pump, crystal, grid, model=args.model)
     metrics = herald_metrics(ja)
     jti = joint_temporal_intensity(ja)
     report = {
-        "command": "analyze",
-        "material": material.material_id,
-        "scheme": args.scheme,
-        "theta_deg": deg_from_rad(crystal.theta),
+        **_source_report(args, crystal, pump, coeffs),
         "qpm_period_um": crystal.qpm_period_um,
-        "lambda_nm": args.lambda_nm,
-        "length_mm": args.length_mm,
         "model": args.model,
         "pump": {
             "fwhm_nm": args.pump_fwhm_nm,
-            "sigma_rad_ps": sigma,
+            "sigma_rad_ps": pump.sigma,
             "chirp_ps2": args.pump_chirp_ps2,
         },
-        "taylor": asdict(coeffs),
-        "factorizability": asdict(factorizability_report(pump, coeffs)),
-        "temporal": asdict(temporal_report(pump, coeffs)),
         "grid": {"n": grid.n, "half_span_rad_ps": grid.half_span},
         "metrics": {
             "K": metrics.cooperativity_K,
@@ -395,23 +395,13 @@ def _cmd_design_gvm(args):
 
 def _cmd_design_asymmetric(args):
     _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    material = get_material(args.material)
-    lam = um_from_nm(args.lambda_nm)
-    length = um_from_mm(args.length_mm)
-    report, long_crystal, crystal, pump, coeffs = asymmetric_design(
-        material, lam, length, args.pump_fwhm_nm, scheme=args.scheme
+    _, long_crystal, crystal, pump, coeffs = asymmetric_design(
+        get_material(args.material), um_from_nm(args.lambda_nm), um_from_mm(args.length_mm),
+        args.pump_fwhm_nm, scheme=args.scheme,
     )
     return {
-        "command": "design-asymmetric",
-        "material": material.material_id,
-        "scheme": args.scheme,
-        "theta_deg": deg_from_rad(crystal.theta),
-        "lambda_nm": args.lambda_nm,
-        "length_mm": args.length_mm,
+        **_source_report(args, crystal, pump, coeffs),
         "pump_fwhm_nm": args.pump_fwhm_nm,
-        "taylor": asdict(coeffs),
-        "factorizability": asdict(report),
-        "temporal": asdict(temporal_report(pump, coeffs)),
         "long_crystal_regime": bool(long_crystal),
     }
 
@@ -474,76 +464,55 @@ def _criterion(name, budget_s, fn):
     }
 
 
+def _report(*argv):
+    """The report a subcommand prints for these command-line words, built in process."""
+    args = build_parser().parse_args(argv)
+    return args.run(args)
+
+
 def _repro_gvm(material_name, scheme, lam_t, lo_t, hi_t):
     def fn():
-        material = get_material(material_name)
-        lam = gvm_wavelength_search(material, scheme=scheme)
-        rng = decorrelation_range(material, scheme=scheme)
-        if lam is None or rng is None:
+        r = _report("design-gvm", "--material", material_name, "--scheme", scheme)
+        keys = ("gvm_wavelength_um", "decorrelation_lo_um", "decorrelation_hi_um")
+        if any(r[k] is None for k in keys):
             raise SolverError(f"no matched wavelength found for {material_name}")
         return [
-            _check("gvm_wavelength_um", float(lam), lam_t, rel=0.01),
-            _check("decorrelation_lo_um", float(rng[0]), lo_t, rel=0.02),
-            _check("decorrelation_hi_um", float(rng[1]), hi_t, rel=0.02),
+            _check(key, r[key], target, rel=rel)
+            for key, target, rel in zip(keys, (lam_t, lo_t, hi_t), (0.01, 0.02, 0.02))
         ]
 
     return fn
 
 
 def _repro_assembly_numbers():
-    db = load_database()
-    design = design_assembly(db["BBO"], db["CALCITE"], 0.8, 10, 10)
+    r = _report(
+        "design-assembly", "--crystal", "BBO", "--spacer", "CALCITE", "--lambda-nm", "800",
+        "--n-crystals", "10", "--m", "10",
+    )
+    d = r["design"]
+    bands = [
+        ("mismatch_sum_crystal_ps_um", 3.535e-4), ("mismatch_sum_spacer_ps_um", -2.936e-4),
+        ("ratio_h_over_l", 1.204), ("h_min_um", 5.88), ("h_um", 58.83), ("length_um", 48.85),
+    ]
+    spacing = d["delta_lambda_ridge_spacing_nm"]
     return [
-        _check(
-            "mismatch_sum_crystal_ps_um",
-            design.mismatch_sum_crystal_ps_um,
-            3.535e-4,
-            rel=0.02,
-        ),
-        _check(
-            "mismatch_sum_spacer_ps_um",
-            design.mismatch_sum_spacer_ps_um,
-            -2.936e-4,
-            rel=0.02,
-        ),
-        _check("ratio_h_over_l", design.ratio_h_over_l, 1.204, rel=0.02),
-        _check("h_min_um", design.h_min_um, 5.88, rel=0.02),
-        _check("h_um", design.h_um, 58.83, rel=0.02),
-        _check("length_um", design.length_um, 48.85, rel=0.02),
-        _check(
-            "ridge_spacing_nm", design.delta_lambda_ridge_spacing_nm, 67.05, rel=0.03
-        ),
-        _check(
-            "per_axis_spacing_nm",
-            design.delta_lambda_ridge_spacing_nm / np.sqrt(2.0),
-            47.41,
-            rel=0.03,
-        ),
-        _check(
-            "pump_fwhm_nm_at_400",
-            fwhm_nm_from_sigma(design.sigma_pump_rad_ps, 0.4),
-            1.48,
-            rel=0.05,
-        ),
+        *(_check(key, d[key], target, rel=0.02) for key, target in bands),
+        _check("ridge_spacing_nm", spacing, 67.05, rel=0.03),
+        _check("per_axis_spacing_nm", spacing / np.sqrt(2.0), 47.41, rel=0.03),
+        _check("pump_fwhm_nm_at_400", r["pump_fwhm_nm"], 1.48, rel=0.05),
     ]
 
 
-def _kdp_source():
-    """The 2 cm KDP crystal at 830 nm, its 5 nm pump, coefficients and 256-point JSA."""
-    crystal = angle_matched_crystal(get_material("KDP"), 0.83, 20000.0)
-    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma_from_fwhm_nm(5.0, 0.415))
-    coeffs = taylor_coefficients(crystal)
-    return crystal, pump, coeffs, jsa_grid(pump, crystal, default_grid(pump, coeffs, n=256))
-
-
 def _repro_kdp():
-    crystal, _, coeffs, ja = _kdp_source()
-    K = cooperativity(schmidt_decompose(ja))
-    tau_e, tau_o = coeffs.tau_s, coeffs.tau_i
+    r = _report(
+        "analyze", "--material", "KDP", "--lambda-nm", "830", "--length-mm", "20",
+        "--pump-fwhm-nm", "5",
+    )
+    tau_e, tau_o = r["taylor"]["tau_s"], r["taylor"]["tau_i"]
     return [
-        _check("theta_c_deg", deg_from_rad(crystal.theta), 67.77, abs_tol=0.5),
+        _check("theta_c_deg", r["theta_deg"], 67.77, abs_tol=0.5),
         _check("walkoff_ratio", abs(tau_o) / abs(tau_e), None, upper=0.05),
-        _check("cooperativity_K", float(K), None, upper=1.1),
+        _check("cooperativity_K", r["metrics"]["K"], None, upper=1.1),
     ]
 
 
@@ -614,9 +583,10 @@ def _repro_properties():
         worst = max(worst, float(np.max(np.abs(spectrum.lambdas - analytic))))
     checks.append(_check("mehler_lambda_dev", worst, None, upper=1e-4))
 
-    # (c) Parseval through the temporal transform
-    crystal, pump, _, ja = _kdp_source()
-    jti = joint_temporal_intensity(ja)
+    # (c) Parseval through the temporal transform, on the 2 cm KDP crystal at
+    # 830 nm with its 5 nm pump
+    crystal, pump, _ = matched_source(get_material("KDP"), 0.83, 20000.0, 5.0)
+    jti = joint_temporal_intensity(jsa_grid(pump, crystal))
     checks.append(
         _check("parseval_dev", abs(jti.norm_squared() - 1.0), None, upper=1e-9)
     )

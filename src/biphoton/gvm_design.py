@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_SINC, omega_from_lambda, sigma_from_fwhm_nm
+from .constants import GAMMA_SINC, omega_from_lambda
 from .errors import ConfigError, NotAsymmetric
-from .jsa import (
-    PumpConfig,
-    angle_matched_crystal,
-    gaussian_form,
-    marginal_sigmas,
-    qpm_matched_crystal,
-    taylor_coefficients,
-)
+from .jsa import _check_scheme, gaussian_form, marginal_sigmas, matched_source, taylor_coefficients
 from .materials import NONCRITICAL_THETA, find_root, group_delays, phasematching_angle
 
 #: wavelengths in the scan that brackets the matched-wavelength roots
@@ -101,10 +94,11 @@ def _scan(material, scheme, window):
     """Wavelengths spanning the window, with the mismatch curves on them.
 
     The window is clipped to 2% inside the range where both the pair and the
-    pump wavelengths are valid.
+    pump wavelengths are valid; the pump at lambda/2 sets the lower end.
     """
+    _check_scheme(scheme)
     lo, hi = material.valid_range
-    lo, hi = max(2.0 * lo * 1.02, lo * 1.02), hi * 0.98
+    lo, hi = 2.0 * lo * 1.02, hi * 0.98
     if window is not None:
         if not np.all(np.isfinite(window)):
             raise ConfigError(f"scan window {window} is not finite")
@@ -170,13 +164,7 @@ def asymmetric_design(material, lambda_um, length_um, pump_fwhm_nm, scheme="angl
     (report, long_crystal_regime, crystal, pump, coeffs); raises NotAsymmetric
     unless one mismatch is below 5% of the other.
     """
-    if scheme == "angle":
-        crystal = angle_matched_crystal(material, lambda_um, length_um)
-    else:
-        crystal = qpm_matched_crystal(material, lambda_um, length_um)
-    sigma = sigma_from_fwhm_nm(float(pump_fwhm_nm), lambda_um / 2.0)
-    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
-    coeffs = taylor_coefficients(crystal)
+    crystal, pump, coeffs = matched_source(material, lambda_um, length_um, pump_fwhm_nm, scheme)
     lo = min(abs(coeffs.tau_s), abs(coeffs.tau_i))
     hi = max(abs(coeffs.tau_s), abs(coeffs.tau_i))
     if hi == 0.0 or lo / hi >= 0.05:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda
+from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda, sigma_from_fwhm_nm
 from .errors import BadDomain, ConfigError, DegenerateGrid
 from .materials import (
     IDLER_POL,
@@ -123,6 +123,26 @@ def taylor_coefficients(crystal):
         beta_p=L * kp2,
         residual_dk0=residual,
     )
+
+
+def _check_scheme(scheme):
+    if scheme not in ("angle", "qpm"):
+        raise ConfigError(f"unknown scheme {scheme!r}; expected 'angle' or 'qpm'")
+
+
+def matched_source(material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme="angle", beta_t=0.0):
+    """(crystal, pump, coeffs) of one crystal phasematched at lambda_pdc_um.
+
+    scheme "angle" cuts the crystal at its phasematching angle, "qpm" poles it
+    (angle_matched_crystal, qpm_matched_crystal). The pump at carrier 2 omega0
+    has intensity FWHM pump_fwhm_nm, quoted at lambda_pdc_um / 2, and chirp beta_t.
+    """
+    _check_scheme(scheme)
+    matched = angle_matched_crystal if scheme == "angle" else qpm_matched_crystal
+    crystal = matched(material, lambda_pdc_um, length_um)
+    sigma = sigma_from_fwhm_nm(float(pump_fwhm_nm), lambda_pdc_um / 2.0)
+    pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma, beta_t=beta_t)
+    return crystal, pump, taylor_coefficients(crystal)
 
 
 def gaussian_form(pump, coeffs):

@@ -334,3 +334,34 @@ def test_gaussian_form_matches_the_term_by_term_reference(db, name):
     nu = default_grid(pump, coeffs, n=256).axis()
     values = gaussian_model(pump, coeffs, nu[:, None], nu[None, :])
     assert np.max(np.abs(values - amplitude)) <= 1e-13 * np.max(np.abs(amplitude))
+
+
+#: (material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme, beta_t) of REFERENCE_SOURCES
+MATCHED_REQUESTS = {
+    "KDP": ("KDP", 0.83, 20_000.0, 5.0, "angle", 0.0),
+    "KDP-chirped": ("KDP", 0.83, 20_000.0, 5.0, "angle", 0.015),
+    "KTP-qpm": ("KTP", 1.566, 20_000.0, 1.5, "qpm", 0.0),
+}
+
+
+@pytest.mark.parametrize("source", sorted(MATCHED_REQUESTS))
+def test_matched_source_is_the_source_built_by_hand(db, source):
+    material, *request = MATCHED_REQUESTS[source]
+    _, pump, coeffs = bp.matched_source(db[material], *request)
+    assert (pump, coeffs) == REFERENCE_SOURCES[source](db)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda db: gvm_wavelength_search(db["BBO"], scheme="angel"),
+        lambda db: decorrelation_range(db["BBO"], scheme="angel"),
+        lambda db: asymmetric_design(db["KDP"], 0.83, 20_000.0, 5.0, scheme="Angle"),
+        lambda db: bp.matched_source(db["KDP"], 0.83, 20_000.0, 5.0, scheme="Angle"),
+    ],
+    ids=["gvm_wavelength_search", "decorrelation_range", "asymmetric_design", "matched_source"],
+)
+def test_unknown_scheme_is_a_config_error(db, call):
+    # NotAsymmetric is a ConfigError too, so the message tells the two apart
+    with pytest.raises(bp.ConfigError, match="unknown scheme"):
+        call(db)

@@ -59,6 +59,21 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, ja.values)
 
 
+def test_csv_rows_in_any_order_read_back_the_same_grid(tmp_path):
+    ja = _sample_amplitude(n=32)
+    path = tmp_path / "amp.csv"
+    io.write_csv(ja, path)
+    comment, header, *rows = path.read_text().splitlines()
+    n = ja.grid.n
+    shuffled = [rows[k] for k in np.random.default_rng(3).permutation(n * n)]
+    nu_i_slowest = [rows[j * n + k] for k in range(n) for j in range(n)]
+    for order in (shuffled, nu_i_slowest):
+        path.write_text("\n".join([comment, header, *order]) + "\n")
+        back = io.read_csv(path)
+        assert back.grid == ja.grid
+        assert np.array_equal(back.values, ja.values)
+
+
 def test_csv_header_fields_are_numeric(tmp_path):
     ja = _sample_amplitude(n=32)
     assert isinstance(ja.grid.half_span, np.floating)
