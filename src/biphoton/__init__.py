@@ -13,7 +13,6 @@ from .assembly import (
     assembly_phasematching,
     central_ridge_grid,
     design_assembly,
-    generalized_gvm_ratio,
     isolate_central_ridge,
     quantize_spacer,
     ridge_slope,
@@ -50,7 +49,6 @@ from .gvm_design import (
     decorrelation_range,
     factorizability_report,
     gvm_wavelength_search,
-    solve_pump_bandwidth,
     temporal_report,
 )
 from .io import read_bjsa, read_csv, write_bjsa, write_csv
@@ -69,7 +67,6 @@ from .jsa import (
     jsa_grid,
     marginal_sigmas,
     matched_source,
-    phasematching_sinc,
     pump_envelope,
     qpm_matched_crystal,
     taylor_coefficients,
@@ -85,7 +82,6 @@ from .materials import (
     inverse_group_velocity,
     load_database,
     phasematching_angle,
-    qpm_period,
     refractive_index,
     walkoff_angle,
     wavenumber,

@@ -27,6 +27,7 @@ from .errors import ConfigError, NoOppositeSign, ZeroMismatch
 from .jsa import (
     CrystalConfig,
     FrequencyGrid,
+    PumpConfig,
     _check_carrier,
     _normalized,
     _stack_on_grid,
@@ -77,20 +78,6 @@ def _unit_mismatch_sums(material, theta, omega0):
     return ks1 + ki1 - 2 * kp1, kp1 - ks1, kp1 - ki1
 
 
-def generalized_gvm_ratio(crystal_material, spacer_material, lambda_um, theta_crystal):
-    """h/L nulling the period-averaged group-velocity mismatch, or None.
-
-    Solves (k_s' + k_i' - 2 k_p') L + (kappa_s' + kappa_i' - 2 kappa_p') h = 0;
-    a positive solution needs opposite signs in crystal and spacer.
-    """
-    w0 = omega_from_lambda(lambda_um)
-    mc, _, _ = _unit_mismatch_sums(crystal_material, theta_crystal, w0)
-    msp, _, _ = _unit_mismatch_sums(spacer_material, NONCRITICAL_THETA, w0)
-    if mc == 0.0 or msp == 0.0 or np.sign(mc) == np.sign(msp):
-        return None
-    return float(-mc / msp)
-
-
 def quantize_spacer(spacer_material, lambda_um, m_integer):
     """(h_min, h): thicknesses whose carrier phase is an exact 2 pi multiple.
 
@@ -137,6 +124,11 @@ class AssemblyDesign:
     delta_lambda_ridge_fwhm_nm: float
     sigma_pump_rad_ps: float
     gen_gvm_residual_ps: float
+
+    @property
+    def pump(self):
+        """The unchirped design pump at carrier 2 omega0; a property, so asdict skips it."""
+        return PumpConfig(2.0 * omega_from_lambda(self.lambda0_um), self.sigma_pump_rad_ps)
 
 
 def design_assembly(crystal_material, spacer_material, lambda_um, n_crystals, m_integer):

@@ -51,7 +51,6 @@ from .jsa import (
     joint_temporal_intensity,
     jsa_grid,
     matched_source,
-    taylor_coefficients,
 )
 from .materials import (
     Pol,
@@ -111,8 +110,11 @@ def _out_dir(path):
     return out
 
 
-def _write_json(path, obj):
-    Path(path).write_text(_dumps(obj), encoding="utf-8")
+def _write_text(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- parser
@@ -395,7 +397,7 @@ def _cmd_design_gvm(args):
 
 def _cmd_design_asymmetric(args):
     _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    _, long_crystal, crystal, pump, coeffs = asymmetric_design(
+    long_crystal, crystal, pump, coeffs = asymmetric_design(
         get_material(args.material), um_from_nm(args.lambda_nm), um_from_mm(args.length_mm),
         args.pump_fwhm_nm, scheme=args.scheme,
     )
@@ -423,11 +425,8 @@ def _cmd_design_assembly(args):
     if args.out_dir:
         out = _out_dir(args.out_dir)
         cfg = assembly_config_from_design(design, crystal_material, spacer_material)
-        pump = PumpConfig(
-            omega_p0=2.0 * cfg.crystal.omega0, sigma=design.sigma_pump_rad_ps
-        )
         grid = central_ridge_grid(design, n=args.grid_n)
-        ja = assembly_jsa_grid(pump, cfg, grid)
+        ja = assembly_jsa_grid(design.pump, cfg, grid)
         write_bjsa(ja, out / "assembly_jsa.bjsa")
         write_csv(ja, out / "assembly_jsa.csv")
         report["exports"] = sorted(
@@ -520,12 +519,9 @@ def _repro_assembly_pipeline():
     db = load_database()
     design = design_assembly(db["BBO"], db["CALCITE"], 0.8, 10, 10)
     cfg = assembly_config_from_design(design, db["BBO"], db["CALCITE"])
-    pump = PumpConfig(
-        omega_p0=2.0 * cfg.crystal.omega0, sigma=design.sigma_pump_rad_ps
-    )
     half_w = domega_from_dlambda(0.020, design.lambda0_um)
     grid = FrequencyGrid(omega0=cfg.crystal.omega0, half_span=half_w, n=256)
-    ja = assembly_jsa_grid(pump, cfg, grid)
+    ja = assembly_jsa_grid(design.pump, cfg, grid)
     iso = isolate_central_ridge(ja, design)
     K = cooperativity(schmidt_decompose(iso))
     nu = grid.axis()
@@ -594,7 +590,7 @@ def _repro_properties():
     # (d) inverse-quadratic scaling of the mixed temporal coefficient
     ratios = []
     for length in (80000.0, 160000.0):
-        c = taylor_coefficients(replace(crystal, length_um=length))
+        c = replace(crystal, length_um=length).coeffs
         ratios.append(temporal_report(pump, c).sigma_M_sq)
     checks.append(
         _check("sigma_M_sq_scaling", ratios[1] / ratios[0], 0.25, rel=0.10)
@@ -684,7 +680,7 @@ def _cmd_paper_repro(args):
     rows = []
     for name, fname, budget, fn in acceptance_criteria():
         result = _criterion(name, budget, fn)
-        _write_json(out / fname, result)
+        _write_text(out / fname, _dumps(result))
         rows.append(result)
     all_pass = all(r["pass"] for r in rows)
     width = max(len(r["name"]) for r in rows)
@@ -692,7 +688,7 @@ def _cmd_paper_repro(args):
     for r in rows:
         status = "PASS" if r["pass"] else "FAIL"
         lines.append(f"{r['name']:<{width}}  {status:<6}  {r['runtime_s']:.2f}")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "summary.txt", "\n".join(lines) + "\n")
     summary = {
         "command": "paper-repro",
         "out_dir": str(out),
@@ -702,7 +698,7 @@ def _cmd_paper_repro(args):
             for r in rows
         ],
     }
-    _write_json(out / "summary.json", summary)
+    _write_text(out / "summary.json", _dumps(summary))
     return summary
 
 

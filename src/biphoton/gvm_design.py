@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import GAMMA_SINC, omega_from_lambda
 from .errors import ConfigError, NotAsymmetric
-from .jsa import _check_scheme, gaussian_form, marginal_sigmas, matched_source, taylor_coefficients
+from .jsa import _check_scheme, gaussian_form, marginal_sigmas, matched_source
 from .materials import NONCRITICAL_THETA, find_root, group_delays, phasematching_angle
 
 #: wavelengths in the scan that brackets the matched-wavelength roots
@@ -46,12 +46,6 @@ class FactorizabilityReport:
     gvm_residual: float
 
 
-def _separable_sigma(coeffs):
-    """Pump sigma that closes condition (1); None unless tau_s tau_i < 0."""
-    ts, ti = coeffs.tau_s, coeffs.tau_i
-    return float(2.0 / np.sqrt(-GAMMA_SINC * ts * ti)) if ts * ti < 0 else None
-
-
 def factorizability_report(pump, coeffs):
     ts, ti = coeffs.tau_s, coeffs.tau_i
     sig_s, sig_i = marginal_sigmas(pump, coeffs)
@@ -59,7 +53,7 @@ def factorizability_report(pump, coeffs):
     theta = np.degrees(np.arctan(-ts / ti)) if ti != 0.0 else 90.0
     return FactorizabilityReport(
         cond1_residual=float(pump.sigma**2 * gaussian_form(pump, coeffs)[1].real),
-        required_sigma=_separable_sigma(coeffs),
+        required_sigma=float(2.0 / np.sqrt(-GAMMA_SINC * ts * ti)) if ts * ti < 0 else None,
         beta_t_star=float(-coeffs.beta_p / 4.0),
         sigma_s=float(sig_s),
         sigma_i=float(sig_i),
@@ -67,15 +61,6 @@ def factorizability_report(pump, coeffs):
         theta_II_deg=float(theta),
         gvm_residual=float(ts + ti),
     )
-
-
-def solve_pump_bandwidth(crystal):
-    """Pump sigma (rad/ps) that makes the Gaussian-model magnitude separable.
-
-    None when tau_s tau_i >= 0, i.e. the pump group velocity does not lie
-    between the two photon group velocities.
-    """
-    return _separable_sigma(taylor_coefficients(crystal))
 
 
 def _mismatch_curves(material, scheme, lambdas):
@@ -158,11 +143,12 @@ def decorrelation_range(material, scheme="angle", window=None):
 
 
 def asymmetric_design(material, lambda_um, length_um, pump_fwhm_nm, scheme="angle"):
-    """Factorizability report in the asymmetric (one tau near zero) regime.
+    """A matched_source in the asymmetric (one tau near zero) regime.
 
     The pump is unchirped with intensity FWHM pump_fwhm_nm. Returns
-    (report, long_crystal_regime, crystal, pump, coeffs); raises NotAsymmetric
-    unless one mismatch is below 5% of the other.
+    (long_crystal_regime, crystal, pump, coeffs), where long_crystal_regime is
+    sigma max|tau| > 10; raises NotAsymmetric unless one mismatch is below 5%
+    of the other. factorizability_report(pump, coeffs) gives the report.
     """
     crystal, pump, coeffs = matched_source(material, lambda_um, length_um, pump_fwhm_nm, scheme)
     lo = min(abs(coeffs.tau_s), abs(coeffs.tau_i))
@@ -171,9 +157,8 @@ def asymmetric_design(material, lambda_um, length_um, pump_fwhm_nm, scheme="angl
         raise NotAsymmetric(
             f"|tau| ratio {lo / hi if hi else np.nan:.3f} is not below 0.05"
         )
-    report = factorizability_report(pump, coeffs)
     long_crystal = bool(pump.sigma * hi > 10.0)
-    return report, long_crystal, crystal, pump, coeffs
+    return long_crystal, crystal, pump, coeffs
 
 
 @dataclass(frozen=True)

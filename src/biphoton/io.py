@@ -39,7 +39,11 @@ def write_bjsa(ja, path):
     if ja.domain != "spectral":
         raise ConfigError("BJSA stores spectral-domain amplitudes only")
     g = ja.grid
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, float(g.n), g.omega0, g.half_span))
         fh.write(np.ascontiguousarray(ja.values, dtype="<c16").data)
 

@@ -12,6 +12,7 @@ A single crystal is the crystal/spacer stack with N = 1: one evaluator gives bot
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .materials import (
     RaySpec,
     _k_derivatives,
     carrier_mismatch,
-    forward_mismatch,
     group_delays,
     phasematching_angle,
     qpm_grating,
@@ -72,6 +72,11 @@ class CrystalConfig:
     def delta_k0(self):
         """Residual carrier mismatch k_p - k_s - k_i - grating."""
         return carrier_mismatch(self.material, self.theta, self.lambda0_um()) - self.grating
+
+    @cached_property
+    def coeffs(self):
+        """The crystal's Taylor expansion, taken once (taylor_coefficients)."""
+        return taylor_coefficients(self)
 
 
 def angle_matched_crystal(material, lambda_pdc_um, length_um):
@@ -142,7 +147,7 @@ def matched_source(material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme="ang
     crystal = matched(material, lambda_pdc_um, length_um)
     sigma = sigma_from_fwhm_nm(float(pump_fwhm_nm), lambda_pdc_um / 2.0)
     pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma, beta_t=beta_t)
-    return crystal, pump, taylor_coefficients(crystal)
+    return crystal, pump, crystal.coeffs
 
 
 def gaussian_form(pump, coeffs):
@@ -286,15 +291,6 @@ def _stack_phasematching(crystal, mismatch, where, stack=None):
     return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
 
 
-def phasematching_sinc(crystal, nu_s, nu_i):
-    """Complex single-crystal phasematching, full dispersion, any points.
-
-    Returns sinc(L delta_k/2) exp(-i L delta_k/2) with delta_k = k_p - k_s - k_i
-    reduced by the grating vector when the crystal is poled.
-    """
-    return _stack_phasematching(crystal, forward_mismatch, (nu_s, nu_i))
-
-
 def gaussian_model(pump, coeffs, nu_s, nu_i):
     """Gaussian-approximated amplitude at arbitrary points (not normalized):
     exp(-(a nu_s^2 + 2 b nu_s nu_i + c nu_i^2) + i (tau_s nu_s + tau_i nu_i)/2)."""
@@ -334,7 +330,7 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
     rows index nu_s, columns nu_i. Normalization: sum |f|^2 dnu^2 = 1.
     """
     _check_carrier(pump, crystal)
-    coeffs = taylor_coefficients(crystal)
+    coeffs = crystal.coeffs
     if grid is None:
         grid = default_grid(pump, coeffs)
     narrow = min(marginal_sigmas(pump, coeffs))

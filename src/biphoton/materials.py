@@ -307,8 +307,3 @@ def qpm_grating(model, lambda_pdc_um):
         raise AlreadyMatched("carrier mismatch already below 1e-12 rad/um")
     # the vector of the period as a float, which can differ from dk by an ulp
     return 2.0 * np.pi / (2.0 * np.pi / dk)
-
-
-def qpm_period(model, lambda_pdc_um):
-    """First-order poling period Lambda = 2 pi / |grating| (um) at NONCRITICAL_THETA."""
-    return 2.0 * np.pi / abs(qpm_grating(model, lambda_pdc_um))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import cli
 from biphoton.io import read_bjsa
 from biphoton.jsa import joint_temporal_intensity
 from biphoton.materials import Pol, RaySpec, gvd, inverse_group_velocity, wavenumber
@@ -326,6 +327,34 @@ def test_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ANALYZE_KDP,
+        [*ANALYZE_KDP, "--model", "gaussian"],
+        ["design-asymmetric", *ANALYZE_KDP[1:]],
+    ],
+    ids=["analyze", "analyze-gaussian", "design-asymmetric"],
+)
+def test_one_expansion_per_request(monkeypatch, argv):
+    # taylor_coefficients makes the one group_delays call of jsa per expansion
+    real, calls = bp.jsa.group_delays, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bp.jsa, "group_delays", counted)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_matched_source_returns_the_crystals_expansion(db):
+    crystal, _, coeffs = bp.matched_source(db["KDP"], 0.83, 20_000.0, 5.0)
+    assert coeffs is crystal.coeffs
+    assert coeffs == bp.taylor_coefficients(crystal)
+
+
 def test_config_file_supplies_defaults(tmp_path, kdp_analysis):
     kdp = {"material": "KDP", "lambda-nm": 830, "length-mm": 20, "pump-fwhm-nm": 5}
     cfg = tmp_path / "kdp.json"
@@ -579,6 +608,28 @@ def test_out_dir_under_a_file_exits_2(tmp_path):
         doc = parse_error(run_cli(*argv), 2)
         assert doc["error"] == "ConfigError"
         assert "output directory" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (ANALYZE_KDP, "jsa.bjsa"),
+        (
+            "design-assembly --crystal BBO --spacer CALCITE --lambda-nm 800 --n-crystals 10 --m 10"
+            " --grid-n 64".split(),
+            "assembly_jsa.bjsa",
+        ),
+        (["paper-repro"], "ktp_gvm.json"),
+    ],
+    ids=["analyze", "design-assembly", "paper-repro"],
+)
+def test_export_file_that_is_a_directory_exits_2(tmp_path, argv, blocked):
+    (tmp_path / blocked).mkdir()
+    proc = run_cli(*argv, "--out-dir", str(tmp_path))
+    doc = parse_error(proc, 2)
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert doc["error"] == "ConfigError"
+    assert blocked in doc["message"]
 
 
 def test_bad_config_file_exits_2(tmp_path):

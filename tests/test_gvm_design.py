@@ -11,7 +11,6 @@ from biphoton.gvm_design import (
     decorrelation_range,
     factorizability_report,
     gvm_wavelength_search,
-    solve_pump_bandwidth,
     temporal_report,
 )
 from biphoton.jsa import (
@@ -45,16 +44,23 @@ def synthetic_coeffs(tau_s, tau_i, beta_s=0.0, beta_i=0.0, beta_p=0.0):
 # ------------------------------------------------------- bandwidth condition
 
 
+def required_sigma(crystal):
+    """The pump sigma closing condition (1); it depends on the expansion alone,
+    so the report of any probe pump carries it."""
+    probe = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=1.0)
+    return factorizability_report(probe, crystal.coeffs).required_sigma
+
+
 def test_same_sign_mismatches_admit_no_pump_bandwidth(kdp_source):
     crystal, _, coeffs = kdp_source
     assert coeffs.tau_s * coeffs.tau_i > 0
-    assert solve_pump_bandwidth(crystal) is None
+    assert required_sigma(crystal) is None
 
 
 def test_pump_bandwidth_closes_condition_one(db):
     lam = gvm_wavelength_search(db["BBO"], scheme="angle")
     crystal = bp.angle_matched_crystal(db["BBO"], lam, 10_000.0)
-    sigma = solve_pump_bandwidth(crystal)
+    sigma = required_sigma(crystal)
     assert sigma is not None and sigma > 0
     coeffs = taylor_coefficients(crystal)
     pump = PumpConfig(omega_p0=2.0 * crystal.omega0, sigma=sigma)
@@ -70,8 +76,8 @@ def test_pump_bandwidth_closes_condition_one(db):
 
 def test_required_bandwidth_scales_inversely_with_length(db):
     lam = gvm_wavelength_search(db["BBO"], scheme="angle")
-    sig1 = solve_pump_bandwidth(bp.angle_matched_crystal(db["BBO"], lam, 10_000.0))
-    sig2 = solve_pump_bandwidth(bp.angle_matched_crystal(db["BBO"], lam, 20_000.0))
+    sig1 = required_sigma(bp.angle_matched_crystal(db["BBO"], lam, 10_000.0))
+    sig2 = required_sigma(bp.angle_matched_crystal(db["BBO"], lam, 20_000.0))
     assert sig2 == pytest.approx(0.5 * sig1, rel=1e-9)
 
 
@@ -139,8 +145,9 @@ def test_symmetric_point_is_not_asymmetric(db):
 
 
 def test_asymmetric_design_kdp(db):
-    report, long_crystal, *_ = asymmetric_design(db["KDP"], 0.83, 20_000.0, 5.0)
+    long_crystal, _, pump, coeffs = asymmetric_design(db["KDP"], 0.83, 20_000.0, 5.0)
     assert long_crystal is True
+    report = factorizability_report(pump, coeffs)
     # one mismatch is tiny: no symmetric bandwidth solution, extreme aspect
     assert report.required_sigma is None
     assert report.aspect_ratio_r > 10.0

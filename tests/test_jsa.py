@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, phasematching, phasematching_sinc
+from biphoton.assembly import AssemblyConfig, assembly_phasematching
+from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, phasematching
+
+
+def crystal_phasematching(crystal, nu_s, nu_i):
+    """Complex phasematching of one crystal at any points: the one-crystal stack."""
+    return assembly_phasematching(AssemblyConfig(crystal, None, 0.0, 1), nu_s, nu_i)
 
 
 def test_sigma_from_fwhm_conversion():
@@ -50,7 +56,7 @@ def test_phasematching_first_zero(kdp_source):
     predicted = np.roots([coeffs.beta_s / 2.0, coeffs.tau_s / 2.0, np.pi])
     predicted = float(predicted[np.argmin(np.abs(predicted))])
     nu = np.linspace(0.5 * predicted, 1.5 * predicted, 100001)
-    mag = np.abs(phasematching_sinc(crystal, nu, np.zeros_like(nu)))
+    mag = np.abs(crystal_phasematching(crystal, nu, np.zeros_like(nu)))
     measured = nu[np.argmin(mag)]
     assert abs(measured - predicted) < 0.01 * abs(predicted)
     assert mag.min() < 1e-4
@@ -60,7 +66,7 @@ def test_phasematching_phase_convention(kdp_source):
     crystal, _, coeffs = kdp_source
     # carrier-matched crystal: arg phi = L delta_k / 2 expanded to the Taylor terms
     nu = 0.3
-    phi = phasematching_sinc(crystal, np.array([nu]), np.array([0.0]))[0]
+    phi = crystal_phasematching(crystal, np.array([nu]), np.array([0.0]))[0]
     x = (coeffs.tau_s * nu + coeffs.beta_s * nu**2) / 2.0
     assert abs(np.angle(phi) - x) < 1e-8
 
@@ -71,7 +77,7 @@ def test_phasematching_argument_linear_in_length(db):
 
     def arg_at(length):
         crystal = CrystalConfig(material=db["KDP"], length_um=length, theta=theta, omega0=w0)
-        return np.angle(phasematching_sinc(crystal, np.array([0.05]), np.array([0.0]))[0])
+        return np.angle(crystal_phasematching(crystal, np.array([0.05]), np.array([0.0]))[0])
 
     assert abs(arg_at(8000.0) / arg_at(4000.0) - 2.0) < 1e-9
 
@@ -87,7 +93,7 @@ def test_jsa_grid_matches_pointwise_path(db, kdp_source):
     for crystal, pump in ((kdp, kdp_pump), (ktp, ktp_pump)):
         grid = bp.default_grid(pump, bp.taylor_coefficients(crystal), n=128)
         nu = grid.axis()
-        direct = phasematching_sinc(crystal, nu[:, None], nu[None, :])
+        direct = crystal_phasematching(crystal, nu[:, None], nu[None, :])
         direct *= bp.pump_envelope(pump, nu[:, None] + nu[None, :])
         direct /= np.sqrt(np.sum(np.abs(direct) ** 2)) * grid.spacing
         # the grid path sums the pump detuning as (j + k - n) dnu, the
@@ -117,7 +123,7 @@ def test_grating_costs_no_dispersion_calls(db, monkeypatch, source):
     bp.jsa_grid(pump, crystal, grid)
     assert len(calls) == 6
     calls.clear()
-    phasematching_sinc(crystal, 0.1, -0.2)
+    crystal_phasematching(crystal, 0.1, -0.2)
     assert len(calls) == 3
 
 

@@ -208,7 +208,7 @@ def test_import_leaves_scipy_out():
 
 def test_qpm_period_cancels_mismatch(db):
     ktp = db["KTP"]
-    period = bp.qpm_period(ktp, 1.568)
+    period = bp.qpm_matched_crystal(ktp, 1.568, 10_000.0).qpm_period_um
     assert period > 0
     dk = bp.carrier_mismatch(ktp, np.pi / 2, 1.568)
     assert abs(dk - np.sign(dk) * 2.0 * np.pi / period) < 1e-12
@@ -219,7 +219,7 @@ def test_qpm_period_scales_inversely_with_mismatch():
     base = bp.carrier_mismatch(FLAT, np.pi / 2, lam)
     assert abs(base) < 1e-15
     with pytest.raises(bp.AlreadyMatched):
-        bp.qpm_period(FLAT, lam)
+        bp.qpm_matched_crystal(FLAT, lam, 10_000.0)
     # a dispersive flat-angle material: doubling lambda_sq doubles delta_k
     def poled(e2):
         return DispersionModel(
@@ -229,8 +229,8 @@ def test_qpm_period_scales_inversely_with_mismatch():
             valid_range=(0.1, 10.0),
         )
 
-    p1 = bp.qpm_period(poled(-0.004), lam)
-    p2 = bp.qpm_period(poled(-0.008), lam)
+    p1 = bp.qpm_matched_crystal(poled(-0.004), lam, 10_000.0).qpm_period_um
+    p2 = bp.qpm_matched_crystal(poled(-0.008), lam, 10_000.0).qpm_period_um
     assert abs(p1 / p2 - 2.0) < 1e-3
 
 

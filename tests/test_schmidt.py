@@ -224,10 +224,11 @@ def herald_sources(db, kdp_source, kdp_jsa, stack_design):
     a Mehler Gaussian."""
     cfg = bp.assembly_config_from_design(stack_design, db["BBO"], db["CALCITE"])
     omega0 = cfg.crystal.omega0
-    pump = bp.PumpConfig(omega_p0=2.0 * omega0, sigma=stack_design.sigma_pump_rad_ps)
     half_w = omega0 / stack_design.lambda0_um * 0.020
     grid = bp.FrequencyGrid(omega0=omega0, half_span=half_w, n=256)
-    ridge = bp.isolate_central_ridge(bp.assembly_jsa_grid(pump, cfg, grid), stack_design)
+    ridge = bp.isolate_central_ridge(
+        bp.assembly_jsa_grid(stack_design.pump, cfg, grid), stack_design
+    )
     bbo = bp.angle_matched_crystal(db["BBO"], 0.8, 5000.0)
     pump = bp.PumpConfig(omega_p0=2.0 * bbo.omega0, sigma=bp.sigma_from_fwhm_nm(10.0, 0.4))
     coeffs = bp.taylor_coefficients(bbo)
