@@ -68,7 +68,7 @@ def assembly_phasematching(cfg, nu_s, nu_i):
 
 def assembly_jsa_grid(pump, cfg, grid):
     """Normalized assembly joint amplitude on a square grid."""
-    _check_carrier(pump, cfg.crystal)
+    _check_carrier(pump, cfg.crystal, grid)
     return _stack_on_grid(pump, cfg.crystal, grid, cfg)
 
 

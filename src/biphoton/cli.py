@@ -38,7 +38,9 @@ from .gvm_design import (
     gvm_wavelength_search,
     temporal_report,
 )
-from .io import axis_rows, grid_rows, read_bjsa, read_csv, write_bjsa, write_csv, write_table
+from .io import (
+    axis_rows, grid_rows, open_for_writing, read_bjsa, read_csv, write_bjsa, write_csv, write_table
+)
 from .jsa import (
     FrequencyGrid,
     JointAmplitude,
@@ -76,10 +78,6 @@ def um_from_mm(mm):
     return float(mm) * 1e3
 
 
-def rad_from_deg(deg):
-    return float(deg) * np.pi / 180.0
-
-
 def deg_from_rad(rad):
     return float(rad) * 180.0 / np.pi
 
@@ -96,10 +94,6 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2, default=_tolist) + "\n"
 
 
-def _emit(obj):
-    sys.stdout.write(_dumps(obj))
-
-
 def _out_dir(path):
     """Create the export directory; a path through a regular file is bad input."""
     out = Path(path)
@@ -111,25 +105,20 @@ def _out_dir(path):
 
 
 def _write_text(path, text):
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with open_for_writing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ------------------------------------------------------------------- parser
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that keeps the usual usage text but adds an error JSON line."""
+    """argparse that keeps the usual usage text but fails with a ConfigError, so
+    `main` ends a rejected command line with the same error JSON as a bad request."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(
-            json.dumps({"error": "ConfigError", "message": message}, sort_keys=True)
-            + "\n"
-        )
-        raise SystemExit(2)
+        raise ConfigError(message)
 
 
 def _require(args, *names):
@@ -163,11 +152,19 @@ def build_parser():
     sub = p.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, run, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    def add(name, run, help_text, *parents):
+        sp = sub.add_parser(name, help=help_text, parents=parents)
         sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON file of flag values; explicit flags win")
         return sp
+
+    crystal = argparse.ArgumentParser(add_help=False)
+    crystal.add_argument("--material")
+    crystal.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
+    source = argparse.ArgumentParser(add_help=False, parents=[crystal])
+    source.add_argument("--lambda-nm", type=float, help="degenerate PDC wavelength")
+    source.add_argument("--length-mm", type=float)
+    source.add_argument("--pump-fwhm-nm", type=float)
 
     sp = add("materials", _cmd_materials, "refractive index, group delay, GVD, walkoff as JSON")
     sp.add_argument("--material")
@@ -176,13 +173,8 @@ def build_parser():
     sp.add_argument("--lambda-nm", type=float)
 
     sp = add("analyze", _cmd_analyze,
-             "full source analysis: coefficients, widths, Schmidt metrics")
-    sp.add_argument("--material")
-    sp.add_argument("--lambda-nm", type=float, help="degenerate PDC wavelength")
-    sp.add_argument("--length-mm", type=float)
-    sp.add_argument("--pump-fwhm-nm", type=float)
+             "full source analysis: coefficients, widths, Schmidt metrics", source)
     sp.add_argument("--pump-chirp-ps2", type=float, default=0.0)
-    sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
     sp.add_argument("--grid-n", type=int, default=256)
     sp.add_argument("--span-factor", type=float, default=4.0)
     sp.add_argument("--model", choices=["full_sinc", "gaussian"], default="full_sinc")
@@ -198,19 +190,12 @@ def build_parser():
     sp.add_argument("--n-modes", type=int, default=4, help="modes in the CSV")
 
     sp = add("design-gvm", _cmd_design_gvm,
-             "group-velocity-matched wavelength and decorrelation range")
-    sp.add_argument("--material")
-    sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
+             "group-velocity-matched wavelength and decorrelation range", crystal)
     sp.add_argument("--window-lo-um", type=float)
     sp.add_argument("--window-hi-um", type=float)
 
-    sp = add("design-asymmetric", _cmd_design_asymmetric,
-             "single-matched-photon factorable source report")
-    sp.add_argument("--material")
-    sp.add_argument("--lambda-nm", type=float)
-    sp.add_argument("--length-mm", type=float)
-    sp.add_argument("--pump-fwhm-nm", type=float)
-    sp.add_argument("--scheme", choices=["angle", "qpm"], default="angle")
+    add("design-asymmetric", _cmd_design_asymmetric,
+        "single-matched-photon factorable source report", source)
 
     sp = add("design-assembly", _cmd_design_assembly,
              "crystal/spacer stack with a separable central ridge")
@@ -236,7 +221,7 @@ def _cmd_materials(args):
     _require(args, "material", "ray", "lambda_nm")
     model = get_material(args.material)
     lam = um_from_nm(args.lambda_nm)
-    ray = RaySpec(Pol(args.ray), rad_from_deg(args.theta_deg))
+    ray = RaySpec(Pol(args.ray), float(args.theta_deg) * np.pi / 180.0)
     w = omega_from_lambda(lam)
     n = refractive_index(model, ray, lam)
     return {
@@ -253,8 +238,17 @@ def _cmd_materials(args):
     }
 
 
-def _source_report(args, crystal, pump, coeffs):
+def _source_request(args):
+    """The first five arguments of matched_source and asymmetric_design, from a
+    source's flags: material, wavelength (um), length (um), pump FWHM (nm), scheme."""
+    _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
+    lam, length = um_from_nm(args.lambda_nm), um_from_mm(args.length_mm)
+    return get_material(args.material), lam, length, args.pump_fwhm_nm, args.scheme
+
+
+def _source_report(args, crystal, pump):
     """The keys `analyze` and `design-asymmetric` share: the request and the source."""
+    coeffs = crystal.coeffs
     return {
         "command": args.command,
         "material": crystal.material.material_id,
@@ -268,18 +262,28 @@ def _source_report(args, crystal, pump, coeffs):
     }
 
 
+def _herald_report(metrics):
+    """The heralding keys `analyze` (under "metrics") and `schmidt` report."""
+    return {"K": metrics.cooperativity_K, "S_bits": metrics.entropy_S,
+            "purity": metrics.purity, "herald_rate": metrics.herald_rate}
+
+
+def _export_amplitude(ja, out, stem):
+    """Write ja to the directory out as <stem>.bjsa and <stem>.csv; the two paths."""
+    paths = [out / f"{stem}.bjsa", out / f"{stem}.csv"]
+    write_bjsa(ja, paths[0])
+    write_csv(ja, paths[1])
+    return paths
+
+
 def _cmd_analyze(args):
-    _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    crystal, pump, coeffs = matched_source(
-        get_material(args.material), um_from_nm(args.lambda_nm), um_from_mm(args.length_mm),
-        args.pump_fwhm_nm, args.scheme, args.pump_chirp_ps2,
-    )
+    crystal, pump, coeffs = matched_source(*_source_request(args), args.pump_chirp_ps2)
     grid = default_grid(pump, coeffs, n=args.grid_n, span_factor=args.span_factor)
     ja = jsa_grid(pump, crystal, grid, model=args.model)
     metrics = herald_metrics(ja)
     jti = joint_temporal_intensity(ja)
     report = {
-        **_source_report(args, crystal, pump, coeffs),
+        **_source_report(args, crystal, pump),
         "qpm_period_um": crystal.qpm_period_um,
         "model": args.model,
         "pump": {
@@ -289,27 +293,22 @@ def _cmd_analyze(args):
         },
         "grid": {"n": grid.n, "half_span_rad_ps": grid.half_span},
         "metrics": {
-            "K": metrics.cooperativity_K,
-            "S_bits": metrics.entropy_S,
-            "purity": metrics.purity,
-            "herald_rate": metrics.herald_rate,
+            **_herald_report(metrics),
             "jsi_correlation": intensity_correlation(ja),
             "jti_correlation": intensity_correlation(jti),
         },
     }
     if args.out_dir:
         out = _out_dir(args.out_dir)
-        write_bjsa(ja, out / "jsa.bjsa")
-        write_csv(ja, out / "jsa.csv")
+        paths = _export_amplitude(ja, out, "jsa")
         for name, axis, amp, comment in (
             ("jsi", "nu_rad_ps", ja, f"joint spectral intensity, omega0_rad_ps={grid.omega0!r}"),
             ("jti", "t_ps", jti, "joint temporal intensity"),
         ):
+            paths.append(out / f"{name}.csv")
             rows = grid_rows(amp.grid.axis(), np.abs(amp.values) ** 2)
-            write_table(out / f"{name}.csv", comment, f"{axis}_row,{axis}_col,intensity", rows)
-        report["exports"] = sorted(
-            str(out / name) for name in ("jsa.bjsa", "jsa.csv", "jsi.csv", "jti.csv")
-        )
+            write_table(paths[-1], comment, f"{axis}_row,{axis}_col,intensity", rows)
+        report["exports"] = sorted(map(str, paths))
     return report
 
 
@@ -368,10 +367,7 @@ def _cmd_schmidt(args):
         },
         "lambdas": [float(v) for v in lambdas],
         "n_modes_kept": int(spectrum.lambdas.size),
-        "K": metrics.cooperativity_K,
-        "S_bits": metrics.entropy_S,
-        "purity": metrics.purity,
-        "herald_rate": metrics.herald_rate,
+        **_herald_report(metrics),
     }
 
 
@@ -396,13 +392,9 @@ def _cmd_design_gvm(args):
 
 
 def _cmd_design_asymmetric(args):
-    _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    long_crystal, crystal, pump, coeffs = asymmetric_design(
-        get_material(args.material), um_from_nm(args.lambda_nm), um_from_mm(args.length_mm),
-        args.pump_fwhm_nm, scheme=args.scheme,
-    )
+    long_crystal, crystal, pump, _ = asymmetric_design(*_source_request(args))
     return {
-        **_source_report(args, crystal, pump, coeffs),
+        **_source_report(args, crystal, pump),
         "pump_fwhm_nm": args.pump_fwhm_nm,
         "long_crystal_regime": bool(long_crystal),
     }
@@ -427,11 +419,7 @@ def _cmd_design_assembly(args):
         cfg = assembly_config_from_design(design, crystal_material, spacer_material)
         grid = central_ridge_grid(design, n=args.grid_n)
         ja = assembly_jsa_grid(design.pump, cfg, grid)
-        write_bjsa(ja, out / "assembly_jsa.bjsa")
-        write_csv(ja, out / "assembly_jsa.csv")
-        report["exports"] = sorted(
-            str(out / name) for name in ("assembly_jsa.bjsa", "assembly_jsa.csv")
-        )
+        report["exports"] = sorted(map(str, _export_amplitude(ja, out, "assembly_jsa")))
     return report
 
 
@@ -708,8 +696,8 @@ def _cmd_paper_repro(args):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             # config flags go first: argparse keeps the last value, so explicit flags win
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
@@ -718,7 +706,7 @@ def main(argv=None):
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2 if isinstance(exc, ConfigError) else 3
-    _emit(report)
+    sys.stdout.write(_dumps(report))
     return 0
 
 

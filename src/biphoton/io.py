@@ -35,15 +35,19 @@ VERSION = 1
 _HEADER = struct.Struct("<4sH3d")
 
 
+def open_for_writing(path, mode, **kwargs):
+    """open(path, mode, **kwargs) for output; an unwritable path is a ConfigError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_bjsa(ja, path):
     if ja.domain != "spectral":
         raise ConfigError("BJSA stores spectral-domain amplitudes only")
     g = ja.grid
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
+    with open_for_writing(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, float(g.n), g.omega0, g.half_span))
         fh.write(np.ascontiguousarray(ja.values, dtype="<c16").data)
 
@@ -73,11 +77,7 @@ def read_bjsa(path):
 def write_table(path, comment, header, blocks):
     """`# comment`, the header, then each text block in turn, so large tables stream
     block by block. Lines end in a bare newline on every platform."""
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
+    with open_for_writing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {comment}\n{header}\n")
         fh.writelines(blocks)
 

@@ -311,9 +311,13 @@ def _normalized(grid, values, domain="spectral"):
     return JointAmplitude(grid, values / norm, domain)
 
 
-def _check_carrier(pump, crystal):
-    if abs(pump.omega_p0 - 2.0 * crystal.omega0) > 1e-9 * pump.omega_p0:
+def _check_carrier(pump, crystal, grid):
+    """The amplitude is evaluated at crystal.omega0; the pump and the grid must agree."""
+    w0 = crystal.omega0
+    if abs(pump.omega_p0 - 2.0 * w0) > 1e-9 * pump.omega_p0:
         raise ConfigError("pump carrier must be twice the downconversion carrier")
+    if abs(grid.omega0 - w0) > 1e-9 * w0:
+        raise ConfigError(f"grid carrier {grid.omega0!r} rad/ps is not the crystal's {w0!r} rad/ps")
 
 
 def _stack_on_grid(pump, crystal, grid, stack=None):
@@ -329,10 +333,10 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
 
     rows index nu_s, columns nu_i. Normalization: sum |f|^2 dnu^2 = 1.
     """
-    _check_carrier(pump, crystal)
     coeffs = crystal.coeffs
     if grid is None:
         grid = default_grid(pump, coeffs)
+    _check_carrier(pump, crystal, grid)
     narrow = min(marginal_sigmas(pump, coeffs))
     if grid.half_span < narrow / 10.0:
         raise DegenerateGrid(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -260,6 +261,14 @@ def test_design_asymmetric_kdp():
     assert doc["theta_deg"] == pytest.approx(67.764, abs=1e-3)
 
 
+def test_analyze_and_design_asymmetric_report_the_same_source(kdp_analysis):
+    doc, _ = kdp_analysis
+    asym = parse_report(run_cli("design-asymmetric", *ANALYZE_KDP[1:]))
+    keys = ("material", "scheme", "theta_deg", "lambda_nm", "length_mm", "taylor",
+            "factorizability", "temporal")
+    assert {k: asym[k] for k in keys} == {k: doc[k] for k in keys}
+
+
 def test_design_assembly_matches_library(stack_design):
     proc = run_cli(
         "design-assembly",
@@ -314,6 +323,30 @@ def test_design_assembly_exports(tmp_path):
     back = read_bjsa(out / "assembly_jsa.bjsa")
     assert back.grid.n == 64
     assert abs(back.norm_squared() - 1.0) < 1e-9
+
+
+# the long flags each subcommand's --help lists
+HELP_FLAGS = {
+    "materials": "--config --lambda-nm --material --ray --theta-deg",
+    "analyze": "--config --grid-n --lambda-nm --length-mm --material --model --out-dir"
+    " --pump-chirp-ps2 --pump-fwhm-nm --scheme --span-factor",
+    "schmidt": "--config --filter-center-nm --filter-kind --filter-width-nm --in --max-modes"
+    " --modes-csv --n-modes",
+    "design-gvm": "--config --material --scheme --window-hi-um --window-lo-um",
+    "design-asymmetric": "--config --lambda-nm --length-mm --material --pump-fwhm-nm --scheme",
+    "design-assembly": "--config --crystal --grid-n --lambda-nm --m --n-crystals --out-dir"
+    " --spacer",
+    "paper-repro": "--config --out-dir",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_help_lists_the_subcommands_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert flags == {"--help", *HELP_FLAGS[command].split()}
 
 
 # ------------------------------------------------------------- determinism
@@ -620,8 +653,10 @@ def test_out_dir_under_a_file_exits_2(tmp_path):
             "assembly_jsa.bjsa",
         ),
         (["paper-repro"], "ktp_gvm.json"),
+        (ANALYZE_KDP, "jsi.csv"),
+        (["paper-repro"], "summary.txt"),
     ],
-    ids=["analyze", "design-assembly", "paper-repro"],
+    ids=["analyze", "design-assembly", "paper-repro", "analyze-table", "paper-repro-text"],
 )
 def test_export_file_that_is_a_directory_exits_2(tmp_path, argv, blocked):
     (tmp_path / blocked).mkdir()

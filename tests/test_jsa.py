@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,30 @@ def test_pump_carrier_must_match(db, kdp_source):
     pump = PumpConfig(omega_p0=2.2 * crystal.omega0, sigma=40.0)
     with pytest.raises(bp.ConfigError):
         bp.jsa_grid(pump, crystal)
+
+
+@pytest.mark.parametrize("model", ["full_sinc", "gaussian", "assembly"])
+def test_grid_carrier_must_match(db, kdp_source, stack_design, model):
+    # the amplitude is evaluated at the crystal's carrier, while filters and
+    # exports read the grid's; a grid labelled with another carrier is refused
+    if model == "assembly":
+        cfg = bp.assembly_config_from_design(stack_design, db["BBO"], db["CALCITE"])
+        grid = bp.central_ridge_grid(stack_design, n=64)
+
+        def build(g):
+            return bp.assembly_jsa_grid(stack_design.pump, cfg, g)
+    else:
+        crystal, pump, coeffs = kdp_source
+        grid = bp.default_grid(pump, coeffs, n=64)
+
+        def build(g):
+            return bp.jsa_grid(pump, crystal, g, model=model)
+    w0 = grid.omega0
+    for ok in (w0, w0 * (1.0 + 1e-12)):
+        assert build(replace(grid, omega0=ok)).grid.omega0 == ok
+    for bad in (w0 * (1.0 + 1e-8), bp.omega_from_lambda(0.9), 1.0):
+        with pytest.raises(bp.ConfigError, match="grid carrier"):
+            build(replace(grid, omega0=bad))
 
 
 def test_default_grid_shape(kdp_source):
