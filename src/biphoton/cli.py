@@ -511,7 +511,7 @@ def _repro_assembly_pipeline():
     grid = FrequencyGrid(omega0=cfg.crystal.omega0, half_span=half_w, n=256)
     ja = assembly_jsa_grid(design.pump, cfg, grid)
     iso = isolate_central_ridge(ja, design)
-    K = cooperativity(schmidt_decompose(iso))
+    K = cooperativity(schmidt_decompose(iso, modes=False))
     nu = grid.axis()
     pm = JointAmplitude(grid, assembly_phasematching(cfg, nu[:, None], nu[None, :]))
     slope = ridge_slope(pm)
@@ -561,7 +561,7 @@ def _repro_properties():
         nu = grid.axis()
         vp = (nu[:, None] + nu[None, :]) ** 2 / (4.0 * a**2)
         vm = (nu[:, None] - nu[None, :]) ** 2 / (4.0 * b**2)
-        spectrum = schmidt_decompose(_normalized(grid, np.exp(-vp - vm) + 0.0j))
+        spectrum = schmidt_decompose(_normalized(grid, np.exp(-vp - vm) + 0.0j), modes=False)
         mu = ((a - b) / (a + b)) ** 2
         analytic = (1.0 - mu) * mu ** np.arange(spectrum.lambdas.size)
         worst = max(worst, float(np.max(np.abs(spectrum.lambdas - analytic))))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_SINC, omega_from_lambda
-from .errors import ConfigError, NotAsymmetric
+from .errors import ConfigError, NotAsymmetric, NumericalFailure
 from .jsa import _check_scheme, gaussian_form, marginal_sigmas, matched_source
 from .materials import NONCRITICAL_THETA, find_root, group_delays, phasematching_angle
 
@@ -192,7 +192,11 @@ def temporal_report(pump, coeffs):
     # long-crystal estimate: the broad photon (smaller Re) keeps the pump width and
     # the narrow one collapses; R to first order in 1/Re of the narrow one
     broad, narrow = (a, c) if a.real <= c.real else (c, a)
-    asym = -b.imag * broad.imag / (2.0 * narrow.real * abs(broad) ** 2)
+    try:
+        asym = -b.imag * broad.imag / (2.0 * narrow.real * abs(broad) ** 2)
+    except OverflowError as exc:
+        msg = f"temporal report overflows for pump chirp {pump.beta_t:g} ps^2"
+        raise NumericalFailure(msg) from exc
     return TemporalReport(
         dt_s=float(2.0 / np.sqrt(R[0, 0])),
         dt_i=float(2.0 / np.sqrt(R[1, 1])),

@@ -12,14 +12,19 @@ Alg. 4.2 and Sec. 4.3: Gaussian sketches from a fixed seed, one power
 iteration per block and QR re-orthonormalization. Q grows a block at a time;
 each new block's sketch first serves as a probe that estimates
 ||A - Q Q^H A||_F, and the loop stops once that estimate is below a tenth of
-RESIDUAL * ||A||_F. The SVD of the small Q^H A then gives the spectrum. If the
-singular values of the first sketch, continued at their own geometric decay,
-do not fall to that level within n/4 columns (strongly chirped sources), or if
-n < 128, one dense SVD of A is taken instead, so a high-rank grid costs the
-dense SVD plus that one sketch. Either way the returned factorization must
-reproduce A to RESIDUAL * ||A||_F, checked exactly (||A - Q Q^H A||_F on the
-low-rank path), or NumericalFailure is raised. The seed is fixed, so the same
-grid gives the same spectrum bit for bit.
+RESIDUAL * ||A||_F. The SVD of the small Q^H A then gives the spectrum, after
+an exact check that ||A - Q Q^H A||_F <= RESIDUAL * ||A||_F. If the singular
+values of the first sketch, continued at their own geometric decay, do not
+fall to that level within n/4 columns (strongly chirped sources), or if
+n < 128, the spectrum comes from the whole grid instead, so a high-rank grid
+costs that plus the one sketch. With modes, that is one dense SVD, which must
+reproduce A to RESIDUAL * ||A||_F. Without modes (`modes=False`, for requests
+that read only the weights), it is the eigenvalues w of the Gram matrix
+G = A^H A, which must satisfy sum w = tr G = ||A||_F^2 and
+sum w^2 = ||G||_F^2 to INVARIANT relative: these two sums are what K and the
+unfiltered purity are made of (purity = ||G||_F^2 / (tr G)^2). A failed check
+raises NumericalFailure. The seed is fixed, so the same grid gives the same
+spectrum bit for bit.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,8 @@ from .errors import ConfigError, NumericalFailure, ZeroHeraldRate
 TRUNCATION = 1e-12
 #: the factorization must reproduce A to this fraction of ||A||_F
 RESIDUAL = 1e-8
+#: Gram eigenvalues must give tr G and ||G||_F^2 to this relative error
+INVARIANT = 1e-12
 #: columns of the first range sketch and of each later block
 FIRST_BLOCK, BLOCK = 32, 16
 #: seed of the Gaussian range sketches
@@ -43,22 +50,25 @@ class SchmidtSpectrum:
     """Schmidt weights (descending) and mode matrices.
 
     Mode columns carry the sqrt(dnu) quadrature weight, i.e. they are
-    orthonormal under the plain Euclidean inner product.
+    orthonormal under the plain Euclidean inner product. Both mode matrices
+    are None when the spectrum was taken without modes.
     """
 
     lambdas: np.ndarray
-    signal_modes: np.ndarray
-    idler_modes: np.ndarray
+    signal_modes: np.ndarray | None
+    idler_modes: np.ndarray | None
 
 
-def schmidt_decompose(ja):
+def schmidt_decompose(ja, modes=True):
     """Schmidt weights and phase-fixed modes of the quadrature-weighted amplitude.
 
-    Low-rank range finder first, one dense SVD for high-rank grids (see the
+    Low-rank range finder first, the whole grid for high-rank grids (see the
     module docstring). Each pair's phase is rotated so that the largest entry of
     the signal mode is real and positive (the first entry within 1e-6 of the
     largest magnitude, so mirror-image ties do not depend on rounding); the
-    idler mode takes the opposite rotation, leaving u s v^H unchanged.
+    idler mode takes the opposite rotation, leaving u s v^H unchanged. With
+    modes=False only the weights are returned, with the same count and the same
+    values (bit for bit on the low-rank path).
     """
     scale = np.max(np.abs(ja.values))
     if scale == 0:
@@ -69,19 +79,23 @@ def schmidt_decompose(ja):
     norm = np.linalg.norm(a)
     try:
         found = _range_basis(a, norm)
-        if found is None:
-            u, s, vh = np.linalg.svd(a, full_matrices=False)
-            err = np.linalg.norm((u * s) @ vh - a)
-        else:
+        if found is not None:
             q, b, err = found
             u, s, vh = np.linalg.svd(b, full_matrices=False)
+            w = s**2
+        elif modes:
+            u, s, vh = np.linalg.svd(a, full_matrices=False)
+            w, err = s**2, np.linalg.norm((u * s) @ vh - a)
+        else:  # no factorization to check: the Gram eigenvalues check themselves
+            w, err = _gram_eigenvalues(a, norm), 0.0
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
+        raise NumericalFailure(f"Schmidt decomposition failed: {exc}") from exc
     if err > RESIDUAL * norm:
         raise NumericalFailure(f"Schmidt reconstruction error {err / norm:.3e} of |A|_F")
-    w = s**2
     lam = w / w.sum()
     keep = lam >= TRUNCATION * lam[0]
+    if not modes:
+        return SchmidtSpectrum(lam[keep], None, None)
     u = u[:, keep] if found is None else q @ u[:, keep]
     mag = np.abs(u)
     peak = np.argmax(mag >= (1.0 - 1e-6) * mag.max(axis=0), axis=0)
@@ -90,6 +104,18 @@ def schmidt_decompose(ja):
     return SchmidtSpectrum(
         lambdas=lam[keep], signal_modes=u * phase.conj(), idler_modes=vh[keep, :].T * phase
     )
+
+
+def _gram_eigenvalues(a, norm):
+    """Eigenvalues of G = A^H A, descending, after checking sum w = tr G = ||A||_F^2
+    and sum w^2 = ||G||_F^2 to INVARIANT relative (written so that NaN fails)."""
+    g = a.conj().T @ a
+    w = np.linalg.eigvalsh(g)[::-1]
+    trace, frob_sq = norm**2, np.linalg.norm(g) ** 2
+    dev = np.array([w.sum() / trace, np.sum(w**2) / frob_sq]) - 1.0
+    if not np.all(np.abs(dev) <= INVARIANT):
+        raise NumericalFailure(f"eigenvalues miss tr G, |G|_F^2 by {dev[0]:.2e}, {dev[1]:.2e}")
+    return w
 
 
 def _range_basis(a, norm):
@@ -229,13 +255,24 @@ class HeraldMetrics:
 
 
 def herald_metrics(ja, filt=None):
-    """Schmidt measures plus heralded purity and rate from one decomposition."""
-    spectrum = schmidt_decompose(ja)
-    omega = ja.grid.omega0 + ja.grid.axis()
-    transmission = (filt or SpectralFilter.unit()).amplitude_transmission(omega) ** 2
-    rho, rate = heralded_state(spectrum, transmission)
+    """Schmidt measures plus heralded purity and rate from one decomposition.
+
+    With no filter the heralded state is diag(lambda) / sum lambda over the kept
+    weights, so only the weights are taken and `spectrum` carries no modes; any
+    filter, the unit filter included, reads the idler modes through
+    heralded_state.
+    """
+    if filt is None:
+        spectrum = schmidt_decompose(ja, modes=False)
+        rate = float(np.sum(spectrum.lambdas))
+        pure = float(np.sum((spectrum.lambdas / rate) ** 2))
+    else:
+        spectrum = schmidt_decompose(ja)
+        omega = ja.grid.omega0 + ja.grid.axis()
+        rho, rate = heralded_state(spectrum, filt.amplitude_transmission(omega) ** 2)
+        pure = purity(rho)
     return HeraldMetrics(
-        purity=purity(rho),
+        purity=pure,
         cooperativity_K=cooperativity(spectrum),
         entropy_S=entropy(spectrum),
         herald_rate=rate,

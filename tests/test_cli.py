@@ -382,6 +382,38 @@ def test_one_expansion_per_request(monkeypatch, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [ANALYZE_KDP, [*ANALYZE_KDP, "--pump-chirp-ps2", "0.015", "--grid-n", "512"]],
+    ids=["unchirped", "chirped"],
+)
+def test_analyze_takes_one_weights_only_decomposition(monkeypatch, capsys, argv):
+    # unfiltered heralding reads only the weights: one decomposition, no heralded state
+    calls = []
+    for name in ("schmidt_decompose", "heralded_state"):
+        real = getattr(bp.schmidt, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bp.schmidt, name, counted)
+    assert cli.main(argv) == 0
+    assert calls == [("schmidt_decompose", {"modes": False})]
+    assert json.loads(capsys.readouterr().out)["metrics"]["herald_rate"] <= 1.0
+
+
+@pytest.mark.parametrize("chirp, code", [("1e150", 0), ("1e160", 3), ("1e300", 3)])
+def test_huge_pump_chirp_fails_with_a_typed_error(chirp, code):
+    proc = run_cli(*ANALYZE_KDP, "--grid-n", "64", "--pump-chirp-ps2", chirp)
+    if code == 0:
+        parse_report(proc)
+    else:
+        doc = parse_error(proc, code)
+        assert doc["error"] == "NumericalFailure"
+        assert "overflows" in doc["message"] and proc.stdout == ""
+
+
 def test_matched_source_returns_the_crystals_expansion(db):
     crystal, _, coeffs = bp.matched_source(db["KDP"], 0.83, 20_000.0, 5.0)
     assert coeffs is crystal.coeffs

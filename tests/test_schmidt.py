@@ -338,3 +338,80 @@ def test_mode_phases_do_not_depend_on_the_path(kdp_jsa, monkeypatch):
 def test_import_leaves_numpy_random_out():
     code = "import sys, biphoton; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+#: the grids of the weights-only tests and the Schmidt path each takes
+WEIGHTS_ONLY_PATHS = {
+    "kdp": "low-rank",
+    "kdp1024": "low-rank",
+    "bbo": "low-rank",
+    "mehler": "low-rank",
+    "ridge": "dense",
+    "chirped_kdp": "dense",
+    "kdp64": "dense",
+}
+
+
+@pytest.fixture(scope="module")
+def weights_only_sources(herald_sources, chirped_kdp, kdp_source):
+    """The heralding sources plus the chirped KDP grid and KDP at n=64."""
+    crystal, pump, coeffs = kdp_source
+    kdp64 = bp.jsa_grid(pump, crystal, bp.default_grid(pump, coeffs, n=64))
+    return {**herald_sources, "chirped_kdp": chirped_kdp, "kdp64": kdp64}
+
+
+def spectrum_purity(spectrum):
+    lam = spectrum.lambdas
+    return np.sum(lam**2) / np.sum(lam) ** 2
+
+
+@pytest.mark.parametrize("source", WEIGHTS_ONLY_PATHS)
+def test_weights_only_spectrum_matches_the_one_with_modes(weights_only_sources, paths, source):
+    ja, path = weights_only_sources[source], WEIGHTS_ONLY_PATHS[source]
+    full, weights = schmidt_decompose(ja), schmidt_decompose(ja, modes=False)
+    assert paths == [path, path]
+    assert weights.signal_modes is None and weights.idler_modes is None
+    assert weights.lambdas.size == full.lambdas.size
+    assert np.max(np.abs(weights.lambdas - full.lambdas)) <= 1e-10
+    if path == "low-rank":
+        assert np.array_equal(weights.lambdas, full.lambdas)
+    for measure in (cooperativity, entropy, spectrum_purity):
+        ref = measure(full)
+        assert abs(measure(weights) - ref) <= 1e-12 * ref, measure.__name__
+
+
+@pytest.mark.parametrize("source", WEIGHTS_ONLY_PATHS)
+def test_unfiltered_herald_metrics_equal_the_unit_filter(weights_only_sources, source):
+    ja = weights_only_sources[source]
+    plain, unit = herald_metrics(ja), herald_metrics(ja, SpectralFilter.unit())
+    assert plain.spectrum.idler_modes is None and unit.spectrum.idler_modes is not None
+    for key in ("purity", "cooperativity_K", "entropy_S", "herald_rate"):
+        ref = getattr(unit, key)
+        assert abs(getattr(plain, key) - ref) <= 1e-12 * ref, key
+
+
+def test_repeated_weights_only_calls_are_bit_identical(chirped_kdp):
+    first, second = (schmidt_decompose(chirped_kdp, modes=False) for _ in range(2))
+    assert np.array_equal(first.lambdas, second.lambdas)
+
+
+@pytest.mark.parametrize("corruption", ["nan", "trace", "frobenius"])
+def test_corrupted_gram_eigenvalues_raise(weights_only_sources, monkeypatch, corruption):
+    ja = weights_only_sources["kdp64"]
+    real = np.linalg.eigvalsh
+
+    def corrupted(g):
+        w = real(g).copy()  # ascending: w[-1] is the leading weight
+        if corruption == "nan":
+            w[0] = np.nan
+        elif corruption == "trace":
+            w[-1] *= 1.0 + 1e-9
+        else:  # the sum is kept, the sum of squares is not
+            shift = 1e-6 * w[-1]
+            w[-1] -= shift
+            w[-2] += shift
+        return w
+
+    monkeypatch.setattr(schmidt.np.linalg, "eigvalsh", corrupted)
+    with pytest.raises(bp.NumericalFailure, match="eigenvalues miss"):
+        schmidt_decompose(ja, modes=False)
