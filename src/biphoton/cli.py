@@ -402,8 +402,9 @@ def _cmd_design_asymmetric(args):
 
 def _cmd_design_assembly(args):
     _require(args, "crystal", "spacer", "lambda_nm", "n_crystals", "m")
-    crystal_material = get_material(args.crystal)
-    spacer_material = get_material(args.spacer)
+    db = load_database()
+    crystal_material = get_material(args.crystal, db)
+    spacer_material = get_material(args.spacer, db)
     lam = um_from_nm(args.lambda_nm)
     design = design_assembly(
         crystal_material, spacer_material, lam, args.n_crystals, args.m

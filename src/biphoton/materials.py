@@ -150,9 +150,19 @@ def refractive_index(model, ray, lambda_um):
     no2 = model.sellmeier_o.n_squared(lambda_um)
     if ray.polarization is Pol.ORDINARY:
         return np.sqrt(no2)
-    ne2 = model.sellmeier_e.n_squared(lambda_um)
-    s2 = np.sin(ray.theta) ** 2
+    return _mixed_index(no2, model.sellmeier_e.n_squared(lambda_um), np.sin(ray.theta) ** 2)
+
+
+def _mixed_index(no2, ne2, s2):
+    """Extraordinary index from n_o^2, n_e^2 and s2 = sin^2(theta)."""
     return 1.0 / np.sqrt((1.0 - s2) / no2 + s2 / ne2)
+
+
+def _principal_squares(model, omega):
+    """(n_o^2, n_e^2) at omega (rad/ps), from the wavelength wavenumber uses."""
+    lam = lambda_from_omega(omega)
+    _check_range(model, lam)
+    return model.sellmeier_o.n_squared(lam), model.sellmeier_e.n_squared(lam)
 
 
 def wavenumber(model, ray, omega):
@@ -273,21 +283,37 @@ def phasematching_angle(model, lambda_pdc_um):
     """Collinear degenerate phasematching angle (rad), elementwise in lambda.
 
     A 61-point scan in theta brackets the first sign change of the carrier
-    mismatch and find_root refines it. An array of wavelengths gives NaN where
-    no angle exists; a scalar wavelength raises NoPhasematch there.
+    mismatch and find_root refines it. The solve reads the principal indices of
+    the pump and the pair once per call and iterates only their sin^2(theta)
+    mixing, in carrier_mismatch's operation order, so it gives the same bits as
+    a solve on carrier_mismatch; the residual check at the root calls
+    carrier_mismatch. An array of wavelengths gives NaN where no angle exists;
+    a scalar wavelength raises NoPhasematch there.
     """
     lam = np.asarray(lambda_pdc_um, dtype=float)
+    w_s = omega_from_lambda(lam)
+    w_p = 2 * w_s
+    no2_s, ne2_s = _principal_squares(model, w_s)
+    no2_p, ne2_p = _principal_squares(model, w_p)
+    # what carrier_mismatch reads that does not depend on theta, per lane
+    parts = (w_s, no2_s, ne2_s, np.sqrt(no2_s) * w_s / C_UM_PS, w_p, no2_p, ne2_p)
+
+    def mismatch(theta, w_s, no2_s, ne2_s, k_i, w_p, no2_p, ne2_p):
+        s2 = np.sin(theta) ** 2
+        k_s = _mixed_index(no2_s, ne2_s, s2) * w_s / C_UM_PS
+        k_p = _mixed_index(no2_p, ne2_p, s2) * w_p / C_UM_PS
+        return -(k_s + k_i - k_p)
+
     scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    sign = np.sign(carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam))
+    sign = np.sign(mismatch(scan.reshape((-1,) + (1,) * lam.ndim), *parts))
     change = sign[:-1] * sign[1:] < 0
     found, first = change.any(axis=0), change.argmax(axis=0)
-
-    def f(theta):
-        return carrier_mismatch(model, theta, lam[found])
+    lanes = [p[found] for p in parts]
+    lo = first[found]
 
     theta = np.full(lam.shape, np.nan)
-    theta[found] = find_root(f, scan[first[found]], scan[first[found] + 1])
-    if np.any(np.abs(f(theta[found])) > 1e-10):
+    theta[found] = find_root(lambda t: mismatch(t, *lanes), scan[lo], scan[lo + 1])
+    if np.any(np.abs(carrier_mismatch(model, theta[found], lam[found])) > 1e-10):
         raise NumericalFailure("phasematching residual above 1e-10 rad/um")
     if lam.ndim:
         return theta

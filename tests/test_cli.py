@@ -297,6 +297,36 @@ def test_design_assembly_matches_library(stack_design):
     )
 
 
+ASSEMBLY_BBO = [
+    "design-assembly", "--crystal", "BBO", "--spacer", "CALCITE",
+    "--lambda-nm", "800", "--n-crystals", "10", "--m", "10",
+]
+
+
+def test_design_assembly_parses_the_database_once(monkeypatch, capsys):
+    real, calls = bp.materials.load_database, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bp.materials, "load_database", counted)
+    monkeypatch.setattr(cli, "load_database", counted)
+    assert cli.main(ASSEMBLY_BBO) == 0
+    assert len(calls) == 1
+
+
+def test_design_assembly_reads_both_materials_from_the_override(tmp_path):
+    bundled = json.loads((Path(bp.__file__).parent / "data" / "materials.json").read_text())
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps({"materials": {"BBO": bundled["materials"]["BBO"]}}))
+    doc = parse_error(run_cli(*ASSEMBLY_BBO, env_extra={"BIPHOTON_MATERIALS_PATH": str(path)}), 2)
+    assert doc["error"] == "ConfigError" and "'CALCITE'" in doc["message"]
+    path.write_text("materials: {toy}")
+    doc = parse_error(run_cli(*ASSEMBLY_BBO, env_extra={"BIPHOTON_MATERIALS_PATH": str(path)}), 2)
+    assert doc["error"] == "ConfigError" and str(path) in doc["message"]
+
+
 def test_design_assembly_exports(tmp_path):
     out = tmp_path / "stack"
     proc = run_cli(

@@ -177,6 +177,54 @@ def test_phasematching_angle_array_matches_scalar_calls(db):
     assert bp.phasematching_angle(kdp, np.array([])).shape == (0,)
 
 
+def _reference_angle(model, lam):
+    """The angle solve written on carrier_mismatch itself: the same 61-point
+    bracket and find_root, with NaN where no angle exists."""
+    lam = np.asarray(lam, dtype=float)
+    scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
+    sign = np.sign(bp.carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam))
+    change = sign[:-1] * sign[1:] < 0
+    found, first = change.any(axis=0), change.argmax(axis=0)
+    theta = np.full(lam.shape, np.nan)
+    lo = first[found]
+    theta[found] = find_root(
+        lambda t: bp.carrier_mismatch(model, t, lam[found]), scan[lo], scan[lo + 1]
+    )
+    return theta
+
+
+def test_phasematching_angle_is_bit_identical_to_a_carrier_mismatch_solve(db):
+    nan_lanes = 0
+    for model in db.values():
+        lo, hi = model.valid_range
+        lams = np.linspace(2.0 * lo * 1.02, 0.98 * hi, 64)
+        expect = _reference_angle(model, lams)
+        nan_lanes += np.isnan(expect).sum()
+        assert bp.phasematching_angle(model, lams).tobytes() == expect.tobytes()
+        for lam, want in zip(lams, expect):
+            if np.isnan(want):
+                with pytest.raises(bp.NoPhasematch):
+                    bp.phasematching_angle(model, lam)
+            else:
+                assert bp.phasematching_angle(model, lam) == want
+    assert nan_lanes > 0
+
+
+@pytest.mark.parametrize("material, lam", [("KDP", 0.83), ("BBO", 0.8), ("KTP", 1.5)])
+def test_angle_solve_reads_the_dispersion_once(monkeypatch, db, material, lam):
+    # the scan and the root iterations reuse the principal indices; the three
+    # wavenumber calls are carrier_mismatch's residual check at the root
+    real, calls = bp.materials.wavenumber, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bp.materials, "wavenumber", counted)
+    bp.phasematching_angle(db[material], lam)
+    assert len(calls) == 3
+
+
 def test_find_root_solves_a_vector_of_brackets():
     c = np.array([2.0, 8.0, 27.0, 0.001, 5.0])
     a = np.array([0.0, 0.0, 3.0, 0.0, 1.0])
