@@ -6,7 +6,8 @@ bandwidth: jsa.matched_source, which builds every single-crystal source, turns
 it into sigma. Reports are emitted as JSON with sorted keys so identical
 configs produce bit-identical output, and every report validates against
 schemas/cli_output.schema.json. Domain errors exit 2 (configuration) or 3
-(numerical) with a one-line error JSON on stderr.
+(numerical) with a one-line error JSON on stderr; a report float that is NaN or
+infinite, which strict JSON cannot hold, is a numerical error.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .assembly import (
     upsilon,
 )
 from .constants import GAMMA_SINC, domega_from_dlambda, fwhm_nm_from_sigma, omega_from_lambda
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, NumericalFailure, SolverError
 from .gvm_design import (
     asymmetric_design,
     decorrelation_range,
@@ -57,6 +58,7 @@ from .jsa import (
 from .materials import (
     Pol,
     RaySpec,
+    _check_range,
     get_material,
     gvd,
     inverse_group_velocity,
@@ -82,6 +84,15 @@ def deg_from_rad(rad):
     return float(rad) * 180.0 / np.pi
 
 
+def _wavelength_um(nm, *materials):
+    """A wavelength flag in um, checked against each material's validity range
+    before anything turns it into rad/ps, where 0 or inf would divide by zero."""
+    lam = um_from_nm(nm)
+    for model in materials:
+        _check_range(model, lam)
+    return lam
+
+
 def _tolist(obj):
     """json.dumps hook: numpy arrays and non-float scalars become plain Python
     (np.float64 is a float and needs none)."""
@@ -91,7 +102,12 @@ def _tolist(obj):
 
 
 def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, default=_tolist) + "\n"
+    """Sorted, indented strict JSON: a NaN or infinite float, which strict JSON
+    cannot hold, is a NumericalFailure."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, default=_tolist, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
 
 
 def _out_dir(path):
@@ -220,7 +236,7 @@ def build_parser():
 def _cmd_materials(args):
     _require(args, "material", "ray", "lambda_nm")
     model = get_material(args.material)
-    lam = um_from_nm(args.lambda_nm)
+    lam = _wavelength_um(args.lambda_nm, model)
     ray = RaySpec(Pol(args.ray), float(args.theta_deg) * np.pi / 180.0)
     w = omega_from_lambda(lam)
     n = refractive_index(model, ray, lam)
@@ -242,8 +258,9 @@ def _source_request(args):
     """The first five arguments of matched_source and asymmetric_design, from a
     source's flags: material, wavelength (um), length (um), pump FWHM (nm), scheme."""
     _require(args, "material", "lambda_nm", "length_mm", "pump_fwhm_nm")
-    lam, length = um_from_nm(args.lambda_nm), um_from_mm(args.length_mm)
-    return get_material(args.material), lam, length, args.pump_fwhm_nm, args.scheme
+    material = get_material(args.material)
+    lam, length = _wavelength_um(args.lambda_nm, material), um_from_mm(args.length_mm)
+    return material, lam, length, args.pump_fwhm_nm, args.scheme
 
 
 def _source_report(args, crystal, pump):
@@ -405,7 +422,7 @@ def _cmd_design_assembly(args):
     db = load_database()
     crystal_material = get_material(args.crystal, db)
     spacer_material = get_material(args.spacer, db)
-    lam = um_from_nm(args.lambda_nm)
+    lam = _wavelength_um(args.lambda_nm, crystal_material, spacer_material)
     design = design_assembly(
         crystal_material, spacer_material, lam, args.n_crystals, args.m
     )
@@ -702,12 +719,12 @@ def main(argv=None):
         if args.config:
             # config flags go first: argparse keeps the last value, so explicit flags win
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
-        report = args.run(args)
+        text = _dumps(args.run(args))
     except (ConfigError, SolverError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2 if isinstance(exc, ConfigError) else 3
-    sys.stdout.write(_dumps(report))
+    sys.stdout.write(text)
     return 0
 
 

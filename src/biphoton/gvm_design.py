@@ -46,7 +46,11 @@ class FactorizabilityReport:
     gvm_residual: float
 
 
+@np.errstate(over="ignore")
 def factorizability_report(pump, coeffs):
+    """The report for this pump and crystal; a figure beyond float range, such as
+    sigma^2 Re b of a pump far wider than its carrier, comes out infinite and
+    without a warning, for the caller to reject."""
     ts, ti = coeffs.tau_s, coeffs.tau_i
     sig_s, sig_i = marginal_sigmas(pump, coeffs)
     r = max(sig_s / sig_i, sig_i / sig_s)

@@ -4,6 +4,10 @@ BJSA layout, all little-endian: 4-byte magic "BJSA", uint16 version, then
 three float64 (n, omega0, half_span), then the n x n complex amplitude
 row-major as interleaved (Re, Im) float64 pairs.
 
+In both formats the header is the grid: each reader builds its FrequencyGrid
+from the header's n, omega0 and half span alone (`_header_grid`), and checks the
+data against that grid before it allocates anything from it.
+
 Every CSV the package writes has one layout, produced by `write_table`: a
 `# comment` line, a comma-separated header line, then rows of %.17g cells, so
 each float64 parses back bit for bit. The grid tables (`grid_rows`) format each
@@ -12,9 +16,9 @@ values cost a %.17g conversion per grid point. There are three tables:
 
 - amplitude (`write_csv`, `read_csv`): header `nu_s,nu_i,re_f,im_f`, one row
   per grid point with the signal detuning varying slowest; the comment holds
-  `omega0_rad_ps=... half_span_rad_ps=... n=...`. `read_csv` accepts rows in any
-  order but requires both detuning columns to sample the centred uniform grid
-  to 1e-6 of its step.
+  `omega0_rad_ps=... half_span_rad_ps=... n=...`, and `read_csv` requires it.
+  Rows may come in any order: each goes to the grid point its two detunings
+  name, to 1e-6 of the step, and every point must appear exactly once.
 - intensity (`jsi.csv`, `jti.csv`): header `<axis>_row,<axis>_col,intensity`
   with axis `nu_rad_ps` or `t_ps`, rows in the same order.
 - modes (`schmidt --modes-csv`): header `nu_rad_ps` then
@@ -23,6 +27,7 @@ values cost a %.17g conversion per grid point. There are three tables:
 """
 
 import struct
+import warnings
 
 import numpy as np
 
@@ -33,6 +38,8 @@ MAGIC = b"BJSA"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sH3d")
+#: the amplitude CSV comment's fields, in _header_grid's order
+_CSV_GRID_FIELDS = ("n", "omega0_rad_ps", "half_span_rad_ps")
 
 
 def open_for_writing(path, mode, **kwargs):
@@ -52,26 +59,32 @@ def write_bjsa(ja, path):
         fh.write(np.ascontiguousarray(ja.values, dtype="<c16").data)
 
 
+def _header_grid(n, omega0, half_span):
+    """The FrequencyGrid a file header names: n, omega0 and half_span as floats or
+    their text, n a whole number. Both readers take their grid from here alone."""
+    n, omega0, half_span = float(n), float(omega0), float(half_span)
+    if not n.is_integer():
+        raise ConfigError(f"header n = {n} is not an integer")
+    return FrequencyGrid(omega0=omega0, half_span=half_span, n=int(n))
+
+
 def read_bjsa(path):
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ConfigError("truncated BJSA header")
-        magic, version, n_f, omega0, half_span = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ConfigError("not a BJSA file")
-        if version != VERSION:
-            raise ConfigError(f"unsupported BJSA version {version}")
-        if not n_f.is_integer():
-            raise ConfigError(f"BJSA header n = {n_f} is not an integer")
-        n = int(n_f)
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != n * n:
-        raise ConfigError(f"BJSA payload has {data.size} samples, expected {n * n}")
+        head, payload = fh.read(_HEADER.size), fh.read()
+    if len(head) < _HEADER.size:
+        raise ConfigError("truncated BJSA header")
+    magic, version, *fields = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise ConfigError("not a BJSA file")
+    if version != VERSION:
+        raise ConfigError(f"unsupported BJSA version {version}")
+    grid = _header_grid(*fields)
+    if len(payload) != 16 * grid.n**2:
+        raise ConfigError(f"BJSA payload has {len(payload)} bytes, not 16 n^2 for n = {grid.n}")
+    data = np.frombuffer(payload, dtype="<c16")
     if not np.isfinite(data).all():
         raise ConfigError("BJSA payload holds a NaN or infinite sample")
-    grid = FrequencyGrid(omega0=omega0, half_span=half_span, n=n)
-    return JointAmplitude(grid, data.reshape(n, n).copy(), domain="spectral")
+    return JointAmplitude(grid, data.reshape(grid.n, grid.n).copy(), domain="spectral")
 
 
 def write_table(path, comment, header, blocks):
@@ -113,47 +126,40 @@ def write_csv(ja, path):
 
 
 def read_csv(path):
-    omega0 = 0.0
     # a non-numeric cell or header value, a ragged row, or bytes that are not
     # UTF-8 all surface as ValueError
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if first.startswith("#"):
-                for tok in first[1:].split():
-                    if tok.startswith("omega0_rad_ps="):
-                        omega0 = float(tok.split("=", 1)[1])
-                header = fh.readline()
-            else:
-                header = first
+            comment, header = fh.readline(), fh.readline()
+            fields = dict(tok.split("=", 1) for tok in comment[1:].split() if "=" in tok)
+            if not (comment.startswith("#") and all(k in fields for k in _CSV_GRID_FIELDS)):
+                raise ConfigError("CSV does not open with its grid comment "
+                                  "'# omega0_rad_ps=... half_span_rad_ps=... n=...'")
+            grid = _header_grid(*(fields[k] for k in _CSV_GRID_FIELDS))
             if not header.lower().lstrip().startswith("nu_s"):
                 raise ConfigError("CSV missing nu_s,nu_i,re_f,im_f header")
-            data = np.loadtxt(fh, delimiter=",", dtype=float)
-    except ValueError as exc:
+            with warnings.catch_warnings():
+                # rows that are all blank: an error here, not loadtxt's warning
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise ConfigError(f"malformed CSV: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 4:
+    if data.shape[1] != 4:
         raise ConfigError("CSV must have exactly four columns")
     if not np.isfinite(data).all():
         raise ConfigError("CSV holds a NaN or infinite cell")
-    nu_s = np.unique(data[:, 0])
-    n = nu_s.size
-    if n * n != data.shape[0]:
-        raise ConfigError("CSV rows do not form a square grid")
-    # the canonical axis starts at exactly -half_span, so -nu_min restores the
-    # stored width bit for bit; 0.5 n (nu[1] - nu[0]) would pick up ulp noise
-    grid = FrequencyGrid(omega0=omega0, half_span=-float(nu_s[0]), n=n)
-    data = data[np.lexsort((data[:, 1], data[:, 0]))]
-    # both columns must sample that grid to 1e-6 of its step, nu_s in blocks of n
-    # and nu_i repeating within each block; package-written files match it exactly
-    axis = grid.axis()
-    tol = 1e-6 * grid.spacing
-    if (
-        np.abs(data[:, 0].reshape(n, n) - axis[:, None]).max() > tol
-        or np.abs(data[:, 1].reshape(n, n) - axis).max() > tol
-    ):
-        raise ConfigError(
-            f"CSV nu_s, nu_i columns are not the centred uniform {n} x {n} grid "
-            f"of half span {grid.half_span!r} rad/ps"
-        )
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
-    return JointAmplitude(grid, vals, domain="spectral")
+    n, h, step = grid.n, grid.half_span, grid.spacing
+    if data.shape[0] != n * n:
+        raise ConfigError(f"CSV has {data.shape[0]} rows, not those of a square {n} x {n} grid")
+    # each row goes to the grid point its two detunings name, to 1e-6 of the step,
+    # and every point takes exactly one row; clipped to the span, nu / step
+    # cannot overflow, and +h rounds to index n
+    nu = data[:, :2]
+    k = np.minimum(np.rint(np.clip(nu, -h, h) / step).astype(np.intp) + n // 2, n - 1)
+    cell = k[:, 0] * n + k[:, 1]
+    if np.abs(grid.axis()[k] - nu).max() > 1e-6 * step or np.bincount(cell).max() > 1:
+        raise ConfigError(f"CSV nu_s, nu_i columns are not the centred uniform {n} x {n} "
+                          f"grid of half span {h!r} rad/ps")
+    vals = np.empty(n * n, dtype=complex)
+    vals[cell] = data[:, 2] + 1j * data[:, 3]
+    return JointAmplitude(grid, vals.reshape(n, n), domain="spectral")

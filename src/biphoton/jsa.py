@@ -23,6 +23,7 @@ from .materials import (
     NONCRITICAL_THETA,
     PUMP_POL,
     SIGNAL_POL,
+    DispersionModel,
     RaySpec,
     _k_derivatives,
     carrier_mismatch,
@@ -141,7 +142,10 @@ def matched_source(material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme="ang
     scheme "angle" cuts the crystal at its phasematching angle, "qpm" poles it
     (angle_matched_crystal, qpm_matched_crystal). The pump at carrier 2 omega0
     has intensity FWHM pump_fwhm_nm, quoted at lambda_pdc_um / 2, and chirp beta_t.
+    material is a DispersionModel (get_material), not a material name.
     """
+    if not isinstance(material, DispersionModel):
+        raise ConfigError(f"material must be a DispersionModel: pass get_material({material!r})")
     _check_scheme(scheme)
     matched = angle_matched_crystal if scheme == "angle" else qpm_matched_crystal
     crystal = matched(material, lambda_pdc_um, length_um)
@@ -192,8 +196,8 @@ class FrequencyGrid(_SquareGrid):
     def __post_init__(self):
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ConfigError("grid n must be a power of two, at least 32")
-        if not (np.isfinite(self.half_span) and self.half_span > 0):
-            raise ConfigError("grid half_span must be positive and finite")
+        if not 0 < self.spacing < np.inf:
+            raise ConfigError("grid half_span must be positive and finite, with a nonzero step")
         if not np.isfinite(self.omega0):
             raise ConfigError("grid omega0 must be finite")
 

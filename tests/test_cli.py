@@ -629,7 +629,7 @@ def test_bad_schmidt_mode_options_exit_2(kdp_analysis, tmp_path):
 
 def test_non_numeric_csv_cell_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("nu_s,nu_i,re_f,im_f\n1,2,abc,4\n")
+    bad.write_text("# omega0_rad_ps=2000 half_span_rad_ps=10 n=32\nnu_s,nu_i,re_f,im_f\n1,2,abc,4\n")
     doc = parse_error(run_cli("schmidt", "--in", str(bad)), 2)
     assert doc["error"] == "ConfigError"
     assert "malformed CSV" in doc["message"]

@@ -1,0 +1,199 @@
+"""The CLI's exit contract under bad input: every call exits 0 with strict JSON
+on stdout, or 2 or 3 with exactly one JSON line on stderr, and emits no Python
+warning. A seeded sweep of mutated amplitude files, plus one named test per
+defect such a sweep found."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import struct
+import warnings
+from pathlib import Path
+
+import jsonschema
+import numpy as np
+import pytest
+
+import biphoton as bp
+from biphoton import cli
+from biphoton import io as bio
+
+VALIDATOR = jsonschema.Draft202012Validator(
+    json.loads((Path(bp.__file__).parent / "schemas" / "cli_output.schema.json").read_text())
+)
+
+#: grid size, seed and call budget of the file sweep
+N, SEED, RANDOM_CALLS = 64, 20261019, 120
+#: values every header field is set to, one file each
+HEADER_VALUES = (float("nan"), float("inf"), 0.0, -1.0, 1e300, 5e-324)
+#: (BJSA byte offset, CSV comment key) of the header fields n, omega0, half_span
+HEADER_FIELDS = ((6, "n"), (14, "omega0_rad_ps"), (22, "half_span_rad_ps"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def call_main(argv):
+    """cli.main(argv) in process: (exit code, stdout, stderr, warning messages).
+    An exception that escapes main propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_contract(argv, expected=(0, 2, 3)):
+    """Run argv and check the exit contract; the parsed stdout or stderr JSON."""
+    code, out, err, caught = call_main(argv)
+    assert caught == [], (argv, caught)
+    assert code in expected, (argv, code, err)
+    if code == 0:
+        doc = json.loads(out, parse_constant=_reject_constant)
+        VALIDATOR.validate(doc)
+        assert err == "", (argv, err)
+        return doc
+    assert out == "", (argv, out)
+    lines = err.splitlines()
+    assert len(lines) == 1, (argv, err)
+    doc = json.loads(lines[0])
+    VALIDATOR.validate(doc)
+    return doc
+
+
+# ------------------------------------------------------------- file sweep
+
+
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory):
+    """analyze's and design-assembly's BJSA and CSV exports at n = 64."""
+    out = tmp_path_factory.mktemp("exports")
+    size = ["--grid-n", str(N), "--out-dir", str(out)]
+    assert_contract(["analyze", "--material", "KDP", "--lambda-nm", "830", "--length-mm", "20",
+                     "--pump-fwhm-nm", "5", *size], expected=(0,))
+    assert_contract(["design-assembly", "--crystal", "BBO", "--spacer", "CALCITE",
+                     "--lambda-nm", "800", "--n-crystals", "10", "--m", "10", *size],
+                    expected=(0,))
+    return [out / name for name in ("jsa.bjsa", "jsa.csv", "assembly_jsa.bjsa", "assembly_jsa.csv")]
+
+
+def _set_header_field(raw, suffix, field, value):
+    offset, key = field
+    if suffix == ".bjsa":
+        return raw[:offset] + struct.pack("<d", value) + raw[offset + 8:]
+    comment, rest = raw.split(b"\n", 1)
+    toks = [f"{key}={value!r}" if tok.startswith(key + "=") else tok
+            for tok in comment.decode().split()]
+    return " ".join(toks).encode() + b"\n" + rest
+
+
+def _shuffle_rows(raw, rng):
+    comment, header, *rows = raw.split(b"\n")[:-1]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    return b"\n".join([comment, header, *rows]) + b"\n"
+
+
+def mutated_files(paths, rng):
+    """(label, source path, mutated bytes) for every fixed case, then
+    RANDOM_CALLS random truncations and byte flips."""
+    for path in paths:
+        raw = path.read_bytes()
+        yield "one byte short", path, raw[:-1]
+        for field in HEADER_FIELDS:
+            for value in HEADER_VALUES:
+                yield f"{field[1]}={value!r}", path, _set_header_field(raw, path.suffix, field, value)
+        if path.suffix == ".csv":
+            yield "no comment line", path, raw.split(b"\n", 1)[1]
+            yield "shuffled rows", path, _shuffle_rows(raw, rng)
+    for j in range(RANDOM_CALLS):
+        path = paths[j % len(paths)]
+        raw = bytearray(path.read_bytes())
+        if j % 2:
+            yield "truncated", path, bytes(raw[: rng.integers(len(raw))])
+        else:
+            for pos in rng.integers(len(raw), size=rng.integers(1, 4)):
+                raw[pos] ^= int(rng.integers(1, 256))
+            yield "bytes flipped", path, bytes(raw)
+
+
+def test_mutated_amplitude_files_keep_the_exit_contract(exports, tmp_path):
+    rng = np.random.default_rng(SEED)
+    reference = {p: assert_contract(["schmidt", "--in", str(p)], expected=(0,)) for p in exports}
+    calls = 0
+    for label, source, raw in mutated_files(exports, rng):
+        path = tmp_path / f"mutated{source.suffix}"
+        path.write_bytes(raw)
+        doc = assert_contract(["schmidt", "--in", str(path)])
+        calls += 1
+        if label == "shuffled rows":
+            assert {**doc, "infile": ""} == {**reference[source], "infile": ""}
+            back, original = bio.read_csv(path), bio.read_csv(source)
+            assert back.grid == original.grid
+            assert np.array_equal(back.values, original.values)
+        elif label.startswith("n=") or label == "no comment line" or (
+                label == "one byte short" and source.suffix == ".bjsa"):
+            assert "error" in doc, label
+    assert calls >= 200
+
+
+# ------------------------------------------------- defects the sweep found
+
+
+def test_bjsa_one_byte_short_exits_2(exports, tmp_path):
+    path = tmp_path / "short.bjsa"
+    path.write_bytes(exports[0].read_bytes()[:-1])
+    doc = assert_contract(["schmidt", "--in", str(path)], expected=(2,))
+    assert doc["error"] == "ConfigError" and "payload" in doc["message"]
+
+
+def test_csv_without_its_grid_comment_exits_2(exports, tmp_path):
+    """Without its comment line a CSV names no carrier, and an idler filter placed
+    against a made-up one gives a wrong purity or none, so the file is refused."""
+    path = tmp_path / "bare.csv"
+    path.write_bytes(exports[1].read_bytes().split(b"\n", 1)[1])
+    for extra in ([], ["--filter-kind", "gaussian", "--filter-center-nm", "830",
+                       "--filter-width-nm", "3"]):
+        doc = assert_contract(["schmidt", "--in", str(path), *extra], expected=(2,))
+        assert doc["error"] == "ConfigError" and "grid comment" in doc["message"]
+
+
+def test_csv_with_no_rows_exits_2(exports, tmp_path):
+    """A CSV cut after its two header lines used to print loadtxt's 'input
+    contained no data' UserWarning on stderr before the error line."""
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"".join(exports[1].read_bytes().splitlines(keepends=True)[:2]) + b"\n\n")
+    doc = assert_contract(["schmidt", "--in", str(path)], expected=(2,))
+    assert doc["error"] == "ConfigError" and "no data" in doc["message"]
+
+
+WAVELENGTH_CALLS = [
+    "materials --material KDP --ray o",
+    "analyze --material KDP --length-mm 20 --pump-fwhm-nm 5 --grid-n 64",
+    "analyze --material KTP --scheme qpm --length-mm 20 --pump-fwhm-nm 5 --grid-n 64",
+    "design-asymmetric --material KDP --length-mm 20 --pump-fwhm-nm 5",
+    "design-assembly --crystal BBO --spacer CALCITE --n-crystals 10 --m 10",
+]
+
+
+@pytest.mark.parametrize("lambda_nm", ["0", "5e-324", "inf", "-830"])
+@pytest.mark.parametrize("argv", WAVELENGTH_CALLS, ids=[a.split()[0] + "-" + a.split()[2]
+                                                         for a in WAVELENGTH_CALLS])
+def test_wavelength_flag_outside_the_material_exits_2(argv, lambda_nm):
+    doc = assert_contract([*argv.split(), "--lambda-nm", lambda_nm], expected=(2,))
+    assert doc["error"] == "OutOfRange"
+
+
+def test_non_finite_report_exits_3():
+    """sigma^2 of a 1e200 nm pump overflows in factorizability_report; the -inf
+    that json.dumps would print as -Infinity is a NumericalFailure instead."""
+    doc = assert_contract(["analyze", "--material", "KDP", "--lambda-nm", "1262.77",
+                           "--length-mm", "16", "--pump-fwhm-nm", "1e200", "--grid-n", "64"],
+                          expected=(3,))
+    assert doc["error"] == "NumericalFailure" and "non-finite" in doc["message"]

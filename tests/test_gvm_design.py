@@ -372,3 +372,10 @@ def test_unknown_scheme_is_a_config_error(db, call):
     # NotAsymmetric is a ConfigError too, so the message tells the two apart
     with pytest.raises(bp.ConfigError, match="unknown scheme"):
         call(db)
+
+
+@pytest.mark.parametrize("build", [asymmetric_design, bp.matched_source],
+                         ids=["asymmetric_design", "matched_source"])
+def test_material_name_is_a_config_error(build):
+    with pytest.raises(bp.ConfigError, match=r"pass get_material\('KDP'\)"):
+        build("KDP", 0.83, 20_000.0, 5.0)

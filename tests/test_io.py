@@ -74,6 +74,25 @@ def test_csv_rows_in_any_order_read_back_the_same_grid(tmp_path):
         assert np.array_equal(back.values, ja.values)
 
 
+def test_csv_grid_comes_from_the_header_alone(tmp_path):
+    """The comment line is the grid: without it, or with a field missing, the file
+    is refused, and rows that do not sample the half span it names are refused
+    even when they would form some other centred uniform grid."""
+    ja = _sample_amplitude(n=32)
+    path = tmp_path / "amp.csv"
+    io.write_csv(ja, path)
+    comment, rest = path.read_text().split("\n", 1)
+    h = repr(float(ja.grid.half_span))
+    for head, message in (
+        (None, "grid comment"),
+        (comment.replace(" n=32", ""), "grid comment"),
+        (comment.replace(h, repr(2.0 * float(h))), "not the centred uniform"),
+    ):
+        path.write_text(rest if head is None else f"{head}\n{rest}")
+        with pytest.raises(bp.ConfigError, match=message):
+            io.read_csv(path)
+
+
 def test_csv_header_fields_are_numeric(tmp_path):
     ja = _sample_amplitude(n=32)
     assert isinstance(ja.grid.half_span, np.floating)
@@ -132,9 +151,13 @@ def test_bjsa_rejects_payload_size_mismatch(tmp_path):
         io.read_bjsa(path)
 
 
+#: a valid grid comment line, for hand-written CSV inputs
+GRID_COMMENT = "# omega0_rad_ps=2000 half_span_rad_ps=10 n=32\n"
+
+
 def test_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "noheader.csv"
-    path.write_text("1.0,2.0,3.0,4.0\n")
+    path.write_text(GRID_COMMENT + "1.0,2.0,3.0,4.0\n")
     with pytest.raises(bp.ConfigError, match="header"):
         io.read_csv(path)
 
@@ -142,6 +165,7 @@ def test_csv_rejects_missing_header(tmp_path):
 def test_csv_rejects_non_square_grid(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text(
+        GRID_COMMENT +
         "nu_s,nu_i,re_f,im_f\n"
         "-1.0,-1.0,0.1,0.0\n"
         "-1.0,1.0,0.2,0.0\n"
@@ -153,7 +177,7 @@ def test_csv_rejects_non_square_grid(tmp_path):
 
 def test_csv_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "threecol.csv"
-    path.write_text("nu_s,nu_i,re_f,im_f\n0.0,0.0,1.0\n1.0,1.0,2.0\n")
+    path.write_text(GRID_COMMENT + "nu_s,nu_i,re_f,im_f\n0.0,0.0,1.0\n1.0,1.0,2.0\n")
     with pytest.raises(bp.ConfigError, match="four columns"):
         io.read_csv(path)
 

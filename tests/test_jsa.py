@@ -194,8 +194,15 @@ def test_grid_validation():
     for omega0 in (float("nan"), float("inf")):
         with pytest.raises(bp.ConfigError):
             bp.FrequencyGrid(omega0=omega0, half_span=10.0, n=64)
-    # read_csv's default carrier when the header carries none
+    # a zero carrier is a valid grid
     assert bp.FrequencyGrid(omega0=0.0, half_span=10.0, n=64).omega0 == 0.0
+
+
+def test_grid_needs_a_nonzero_step():
+    """A positive half span whose step 2 half_span / n underflows to zero (as a
+    file header can name) is refused, not left to divide by zero later."""
+    with pytest.raises(bp.ConfigError, match="nonzero step"):
+        bp.FrequencyGrid(omega0=bp.omega_from_lambda(0.8), half_span=5e-324, n=64)
 
 
 def test_nan_length_and_pump_width_rejected(db):
