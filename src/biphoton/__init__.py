@@ -44,10 +44,12 @@ from .errors import (
 )
 from .gvm_design import (
     FactorizabilityReport,
+    GvmScan,
     TemporalReport,
     asymmetric_design,
     decorrelation_range,
     factorizability_report,
+    gvm_scan,
     gvm_wavelength_search,
     temporal_report,
 )

@@ -36,6 +36,7 @@ from .gvm_design import (
     asymmetric_design,
     decorrelation_range,
     factorizability_report,
+    gvm_scan,
     gvm_wavelength_search,
     temporal_report,
 )
@@ -129,12 +130,12 @@ def _write_text(path, text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that keeps the usual usage text but fails with a ConfigError, so
-    `main` ends a rejected command line with the same error JSON as a bad request."""
+    """argparse that fails with a ConfigError whose message carries the usage
+    text, so `main` ends a rejected command line with the same one-line error
+    JSON as a bad request and prints nothing else."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise ConfigError(f"{message}; {' '.join(self.format_usage().split())}")
 
 
 def _require(args, *names):
@@ -396,8 +397,9 @@ def _cmd_design_gvm(args):
         raise ConfigError("--window-lo-um and --window-hi-um go together")
     if args.window_lo_um is not None:
         window = (args.window_lo_um, args.window_hi_um)
-    lam = gvm_wavelength_search(material, scheme=args.scheme, window=window)
-    rng = decorrelation_range(material, scheme=args.scheme, window=window)
+    scan = gvm_scan(material, scheme=args.scheme, window=window)
+    lam = gvm_wavelength_search(scan)
+    rng = decorrelation_range(scan)
     return {
         "command": "design-gvm",
         "material": material.material_id,

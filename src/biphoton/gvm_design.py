@@ -9,6 +9,11 @@ Condition (1) fixes the pump bandwidth whenever the two group-velocity
 mismatches straddle the pump (tau_s tau_i < 0); condition (2) fixes the pump
 chirp beta_t* = -beta_p/4. The solvers below locate wavelengths where these
 become available and quantify how factorable the result is.
+
+A design window is sampled once: gvm_scan solves the mismatch curves on its
+wavelengths and refines every zero of g_s + g_i, g_s and g_i in one find_root
+call, and gvm_wavelength_search and decorrelation_range read their roots from
+that scan.
 """
 
 from dataclasses import dataclass
@@ -79,8 +84,26 @@ def _mismatch_curves(material, scheme, lambdas):
     return np.where(ok, ks - kp, np.nan), np.where(ok, ki - kp, np.nan)
 
 
-def _scan(material, scheme, window):
-    """Wavelengths spanning the window, with the mismatch curves on them.
+@dataclass(frozen=True, eq=False)
+class GvmScan:
+    """The mismatch curves sampled across a wavelength window, with their zeros.
+
+    g_s and g_i are k_s' - k_p' and k_i' - k_p' (ps/um) at lambdas (um), NaN
+    where no phasematching angle exists. zeros[k, j] is the refined zero of
+    curve k (0: g_s + g_i, 1: g_s, 2: g_i) between lambdas[j] and
+    lambdas[j + 1], NaN where the curve keeps its sign there.
+    """
+
+    lambdas: np.ndarray
+    g_s: np.ndarray
+    g_i: np.ndarray
+    zeros: np.ndarray
+
+
+def gvm_scan(material, scheme="angle", window=None):
+    """Sample the mismatch curves on SCAN_POINTS wavelengths spanning the
+    window and refine every sign change of g_s + g_i, g_s and g_i in one
+    find_root call, which starts from the sampled values at the bracket ends.
 
     The window is clipped to 2% inside the range where both the pair and the
     pump wavelengths are valid; the pump at lambda/2 sets the lower end.
@@ -95,33 +118,34 @@ def _scan(material, scheme, window):
     if not lo < hi:
         raise ConfigError(f"empty scan window [{lo}, {hi}] um for {material.material_id}")
     lambdas = np.linspace(lo, hi, SCAN_POINTS)
-    return (lambdas, *_mismatch_curves(material, scheme, lambdas))
+    gs, gi = _mismatch_curves(material, scheme, lambdas)
+    curves = np.stack((gs + gi, gs, gi))
+    k, j = np.nonzero(curves[:, :-1] * curves[:, 1:] <= 0)
+
+    def f(lam):
+        s, i = _mismatch_curves(material, scheme, lam)
+        return np.choose(k, (s + i, s, i))
+
+    zeros = np.full((3, SCAN_POINTS - 1), np.nan)
+    zeros[k, j] = find_root(f, lambdas[j], lambdas[j + 1], curves[k, j], curves[k, j + 1])
+    return GvmScan(lambdas, gs, gi, zeros)
 
 
-def _refine_root(material, scheme, fn, a, b):
-    """Roots of fn(g_s, g_i) in the wavelength brackets [a, b]."""
-    return find_root(lambda lam: fn(*_mismatch_curves(material, scheme, lam)), a, b)
-
-
-def gvm_wavelength_search(material, scheme="angle", window=None):
+def gvm_wavelength_search(scan):
     """Degenerate wavelength where the pair group velocities straddle the
-    pump symmetrically: k_s' + k_i' = 2 k_p'. None when no root exists."""
-    lambdas, gs, gi = _scan(material, scheme, window)
-    s = gs + gi
-    hits = np.flatnonzero(s[:-1] * s[1:] <= 0)
-    if not hits.size:
-        return None
-    j = hits[0]
-    return float(_refine_root(material, scheme, np.add, lambdas[j], lambdas[j + 1]))
+    pump symmetrically: k_s' + k_i' = 2 k_p'. The first zero of g_s + g_i in
+    the gvm_scan, None when it has none."""
+    hits = scan.zeros[0][~np.isnan(scan.zeros[0])]
+    return float(hits[0]) if hits.size else None
 
 
-def decorrelation_range(material, scheme="angle", window=None):
+def decorrelation_range(scan):
     """Wavelength interval with tau_s tau_i < 0 (asymmetric factorability).
 
-    Endpoints are the zeros of the individual mismatches. Returns the widest
-    such interval inside the scan window, or None.
+    Endpoints are the zeros of the individual mismatches in the gvm_scan.
+    Returns the widest such interval inside the scan window, or None.
     """
-    lambdas, gs, gi = _scan(material, scheme, window)
+    gs, gi = scan.g_s, scan.g_i
     prod = gs * gi
     # each run of samples with tau_s tau_i < 0 ends at a first and a last
     # sample; inner holds both ends of every run, outer the sample one further out
@@ -131,16 +155,13 @@ def decorrelation_range(material, scheme="angle", window=None):
     if not first.size:
         return None
     inner, outer = np.concatenate((first, last)), np.concatenate((first - 1, last + 1))
-    ends = lambdas[inner]
-    # an end is refined when the product one sample out is finite, on whichever
-    # curve crosses zero between the two samples
+    ends = scan.lambdas[inner]
+    # an end is refined when the product one sample out is finite, to the zero
+    # of whichever curve crosses zero between the two samples
     padded = np.concatenate(([np.nan], prod, [np.nan]))
     ref = np.flatnonzero(np.isfinite(padded[outer + 1]))
     lo, hi = np.minimum(inner, outer)[ref], np.maximum(inner, outer)[ref]
-    on_s = gs[lo] * gs[hi] <= 0
-    ends[ref] = _refine_root(
-        material, scheme, lambda s, i: np.where(on_s, s, i), lambdas[lo], lambdas[hi]
-    )
+    ends[ref] = scan.zeros[np.where(gs[lo] * gs[hi] <= 0, 1, 2), lo]
     a, b = np.split(ends, 2)
     k = np.argmax(b - a)
     return float(a[k]), float(b[k])

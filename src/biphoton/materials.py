@@ -239,17 +239,18 @@ FIND_ROOT_MAXITER = 100
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def find_root(f, a, b):
-    """Roots of an elementwise f, one per bracket [a_j, b_j] with f(a_j) f(b_j) <= 0.
+def find_root(f, a, b, fa, fb):
+    """Roots of an elementwise f, one per bracket [a_j, b_j] with fa_j fb_j <= 0.
 
+    fa and fb are f at the bracket ends, which every caller has already
+    sampled to find the bracket; f is called only inside the brackets.
     Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)): inverse quadratic
     interpolation where the last three points allow it, bisection otherwise.
     A lane is frozen once f is exactly 0 or its bracket is a few ulp wide, in
     units of the root or, for a root at 0, of the starting bracket.
     """
     # a is the newest point, [a, b] brackets the root, c is the point a replaced
-    b, a = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    fb, fa = f(b), f(a)
+    b, a, fb, fa = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, fa, fb)))
     if not np.all(np.sign(fa) * np.sign(fb) <= 0):
         raise NumericalFailure("find_root: bracket without a sign change")
     c, fc, t, width = a, fa, 0.5, np.abs(b - a)
@@ -283,11 +284,11 @@ def phasematching_angle(model, lambda_pdc_um):
     """Collinear degenerate phasematching angle (rad), elementwise in lambda.
 
     A 61-point scan in theta brackets the first sign change of the carrier
-    mismatch and find_root refines it. The solve reads the principal indices of
-    the pump and the pair once per call and iterates only their sin^2(theta)
-    mixing, in carrier_mismatch's operation order, so it gives the same bits as
-    a solve on carrier_mismatch; the residual check at the root calls
-    carrier_mismatch. An array of wavelengths gives NaN where no angle exists;
+    mismatch and find_root refines it from the scan's values at the bracket
+    ends. The solve reads the principal indices of the pump and the pair once
+    per call and iterates only their sin^2(theta) mixing, in carrier_mismatch's
+    operation order, so it gives the same bits as a solve on carrier_mismatch;
+    the residual check at the root calls carrier_mismatch. An array of wavelengths gives NaN where no angle exists;
     a scalar wavelength raises NoPhasematch there.
     """
     lam = np.asarray(lambda_pdc_um, dtype=float)
@@ -305,14 +306,16 @@ def phasematching_angle(model, lambda_pdc_um):
         return -(k_s + k_i - k_p)
 
     scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    sign = np.sign(mismatch(scan.reshape((-1,) + (1,) * lam.ndim), *parts))
+    values = mismatch(scan.reshape((-1,) + (1,) * lam.ndim), *parts)
+    sign = np.sign(values)
     change = sign[:-1] * sign[1:] < 0
     found, first = change.any(axis=0), change.argmax(axis=0)
     lanes = [p[found] for p in parts]
     lo = first[found]
+    f_lo, f_hi = np.take_along_axis(values, np.stack((first, first + 1)), axis=0)[:, found]
 
     theta = np.full(lam.shape, np.nan)
-    theta[found] = find_root(lambda t: mismatch(t, *lanes), scan[lo], scan[lo + 1])
+    theta[found] = find_root(lambda t: mismatch(t, *lanes), scan[lo], scan[lo + 1], f_lo, f_hi)
     if np.any(np.abs(carrier_mismatch(model, theta[found], lam[found])) > 1e-10):
         raise NumericalFailure("phasematching residual above 1e-10 rad/um")
     if lam.ndim:

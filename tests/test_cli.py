@@ -219,10 +219,10 @@ def test_schmidt_metrics_ignore_grid_scale(kdp_analysis, tmp_path):
 def test_design_gvm_matches_library(db):
     proc = run_cli("design-gvm", "--material", "KTP", "--scheme", "qpm")
     doc = parse_report(proc)
-    from biphoton.gvm_design import decorrelation_range, gvm_wavelength_search
+    from biphoton.gvm_design import decorrelation_range, gvm_scan, gvm_wavelength_search
 
-    lam = gvm_wavelength_search(db["KTP"], scheme="qpm")
-    rng = decorrelation_range(db["KTP"], scheme="qpm")
+    scan = gvm_scan(db["KTP"], scheme="qpm")
+    lam, rng = gvm_wavelength_search(scan), decorrelation_range(scan)
     assert doc["gvm_wavelength_um"] == pytest.approx(lam, rel=1e-12)
     assert doc["decorrelation_lo_um"] == pytest.approx(rng[0], rel=1e-12)
     assert doc["decorrelation_hi_um"] == pytest.approx(rng[1], rel=1e-12)
@@ -585,6 +585,15 @@ def test_missing_flag_exits_2():
         assert doc["message"] == f"missing required flag(s): {flag}"
         assert proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_rejected_flag_value_prints_one_error_line():
+    # argparse's usage text goes into the error message, not ahead of it
+    proc = run_cli("analyze", "--grid-n", "abc")
+    doc = parse_error(proc, 2)
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert doc["error"] == "ConfigError"
+    assert "--grid-n" in doc["message"] and "usage: biphoton analyze" in doc["message"]
 
 
 def test_unknown_material_exits_2():

@@ -10,6 +10,7 @@ from biphoton.gvm_design import (
     asymmetric_design,
     decorrelation_range,
     factorizability_report,
+    gvm_scan,
     gvm_wavelength_search,
     temporal_report,
 )
@@ -58,7 +59,7 @@ def test_same_sign_mismatches_admit_no_pump_bandwidth(kdp_source):
 
 
 def test_pump_bandwidth_closes_condition_one(db):
-    lam = gvm_wavelength_search(db["BBO"], scheme="angle")
+    lam = gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angle"))
     crystal = bp.angle_matched_crystal(db["BBO"], lam, 10_000.0)
     sigma = required_sigma(crystal)
     assert sigma is not None and sigma > 0
@@ -75,7 +76,7 @@ def test_pump_bandwidth_closes_condition_one(db):
 
 
 def test_required_bandwidth_scales_inversely_with_length(db):
-    lam = gvm_wavelength_search(db["BBO"], scheme="angle")
+    lam = gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angle"))
     sig1 = required_sigma(bp.angle_matched_crystal(db["BBO"], lam, 10_000.0))
     sig2 = required_sigma(bp.angle_matched_crystal(db["BBO"], lam, 20_000.0))
     assert sig2 == pytest.approx(0.5 * sig1, rel=1e-9)
@@ -85,17 +86,17 @@ def test_required_bandwidth_scales_inversely_with_length(db):
 
 
 def test_gvm_search_ktp_qpm(db):
-    lam = gvm_wavelength_search(db["KTP"], scheme="qpm")
+    lam = gvm_wavelength_search(gvm_scan(db["KTP"], scheme="qpm"))
     assert lam == pytest.approx(1.565982, abs=1e-4)
 
 
 def test_gvm_search_bbo_angle(db):
-    lam = gvm_wavelength_search(db["BBO"], scheme="angle")
+    lam = gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angle"))
     assert lam == pytest.approx(1.514727, abs=1e-4)
 
 
 def test_gvm_search_respects_window(db):
-    assert gvm_wavelength_search(db["BBO"], scheme="angle", window=(0.9, 1.2)) is None
+    assert gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angle", window=(0.9, 1.2))) is None
 
 
 @pytest.mark.parametrize(
@@ -103,23 +104,23 @@ def test_gvm_search_respects_window(db):
 )
 def test_bad_scan_windows_rejected(db, window):
     with pytest.raises(bp.ConfigError):
-        gvm_wavelength_search(db["KTP"], scheme="qpm", window=window)
+        gvm_wavelength_search(gvm_scan(db["KTP"], scheme="qpm", window=window))
     with pytest.raises(bp.ConfigError):
-        decorrelation_range(db["KTP"], scheme="qpm", window=window)
+        decorrelation_range(gvm_scan(db["KTP"], scheme="qpm", window=window))
 
 
 def test_decorrelation_range_ktp(db):
-    rng = decorrelation_range(db["KTP"], scheme="qpm")
+    rng = decorrelation_range(gvm_scan(db["KTP"], scheme="qpm"))
     assert rng is not None
     lo, hi = rng
     assert lo == pytest.approx(1.21925, abs=2e-3)
     assert hi == pytest.approx(2.37860, abs=2e-3)
-    lam = gvm_wavelength_search(db["KTP"], scheme="qpm")
+    lam = gvm_wavelength_search(gvm_scan(db["KTP"], scheme="qpm"))
     assert lo < lam < hi
 
 
 def test_decorrelation_range_bbo(db):
-    rng = decorrelation_range(db["BBO"], scheme="angle")
+    rng = decorrelation_range(gvm_scan(db["BBO"], scheme="angle"))
     assert rng is not None
     lo, hi = rng
     assert lo == pytest.approx(1.16938, abs=2e-3)
@@ -127,7 +128,7 @@ def test_decorrelation_range_bbo(db):
 
 
 def test_decorrelation_range_clipped_by_window(db):
-    rng = decorrelation_range(db["KTP"], scheme="qpm", window=(1.3, 2.0))
+    rng = decorrelation_range(gvm_scan(db["KTP"], scheme="qpm", window=(1.3, 2.0)))
     assert rng is not None
     lo, hi = rng
     # interior of the opposite-sign band: the window itself bounds the result
@@ -135,11 +136,138 @@ def test_decorrelation_range_clipped_by_window(db):
     assert hi == pytest.approx(2.0, abs=1e-9)
 
 
+# ------------------------------------- one scan and one refine per window
+
+
+def _two_refine_reference(material, scheme, window):
+    """design-gvm as two separate searches, each with its own scan and its own
+    find_root that evaluates the mismatch afresh at the bracket ends: the
+    matched wavelength and the decorrelation range, or the error they raise."""
+    from biphoton.gvm_design import SCAN_POINTS, _mismatch_curves
+    from biphoton.jsa import _check_scheme
+    from biphoton.materials import find_root
+
+    def scan():
+        _check_scheme(scheme)
+        lo, hi = material.valid_range
+        lo, hi = 2.0 * lo * 1.02, hi * 0.98
+        if window is not None:
+            if not np.all(np.isfinite(window)):
+                raise bp.ConfigError("scan window is not finite")
+            lo, hi = max(lo, window[0]), min(hi, window[1])
+        if not lo < hi:
+            raise bp.ConfigError("empty scan window")
+        lambdas = np.linspace(lo, hi, SCAN_POINTS)
+        return (lambdas, *_mismatch_curves(material, scheme, lambdas))
+
+    def refine(fn, a, b):
+        def f(lam):
+            return fn(*_mismatch_curves(material, scheme, lam))
+
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        return find_root(f, a, b, f(a), f(b))
+
+    def gvm():
+        lambdas, gs, gi = scan()
+        s = gs + gi
+        hits = np.flatnonzero(s[:-1] * s[1:] <= 0)
+        if not hits.size:
+            return None
+        j = hits[0]
+        return float(refine(np.add, lambdas[j], lambdas[j + 1]))
+
+    def decorrelation():
+        lambdas, gs, gi = scan()
+        prod = gs * gi
+        neg = np.concatenate(([False], prod < 0, [False]))
+        first = np.flatnonzero(~neg[:-1] & neg[1:])
+        last = np.flatnonzero(neg[:-1] & ~neg[1:]) - 1
+        if not first.size:
+            return None
+        inner, outer = np.concatenate((first, last)), np.concatenate((first - 1, last + 1))
+        ends = lambdas[inner]
+        padded = np.concatenate(([np.nan], prod, [np.nan]))
+        ref = np.flatnonzero(np.isfinite(padded[outer + 1]))
+        lo, hi = np.minimum(inner, outer)[ref], np.maximum(inner, outer)[ref]
+        on_s = gs[lo] * gs[hi] <= 0
+        ends[ref] = refine(lambda s, i: np.where(on_s, s, i), lambdas[lo], lambdas[hi])
+        a, b = np.split(ends, 2)
+        k = np.argmax(b - a)
+        return float(a[k]), float(b[k])
+
+    try:
+        return gvm(), decorrelation()
+    except bp.BiphotonError as exc:
+        return type(exc)
+
+
+def _design_windows(material, seed):
+    """None and ten seeded windows over the material's range, about a fifth of
+    them reversed (empty)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = material.valid_range
+    windows = [None]
+    for _ in range(10):
+        a, b = np.sort(rng.uniform(2.0 * lo * 0.95, hi * 1.02, 2))
+        windows.append((float(b), float(a)) if rng.random() < 0.2 else (float(a), float(b)))
+    return windows
+
+
+@pytest.mark.parametrize("scheme", ["angle", "qpm"])
+@pytest.mark.parametrize("material", ["KDP", "BBO", "KTP", "CALCITE"])
+def test_shared_scan_matches_two_separate_refines(db, material, scheme):
+    seed = ["KDP", "BBO", "KTP", "CALCITE"].index(material) * 2 + (scheme == "qpm")
+    found = 0
+    for window in _design_windows(db[material], seed):
+        want = _two_refine_reference(db[material], scheme, window)
+        try:
+            scan = gvm_scan(db[material], scheme=scheme, window=window)
+            got = gvm_wavelength_search(scan), decorrelation_range(scan)
+        except bp.BiphotonError as exc:
+            got = type(exc)
+        if isinstance(want, type):
+            assert got is want, window
+            continue
+        assert not isinstance(got, type), (window, got)
+        lam, rng = got
+        assert (lam is None) == (want[0] is None) and (rng is None) == (want[1] is None), window
+        for value, ref in zip((lam, *(rng or ())), (want[0], *(want[1] or ()))):
+            if value is not None:
+                assert value == pytest.approx(ref, rel=1e-13, abs=0.0), window
+                found += 1
+    assert found > 0
+
+
+def test_design_gvm_solves_the_bbo_window_in_eleven_angle_calls(monkeypatch, capsys):
+    # one 64-wavelength scan, then one angle solve per iteration of the one refine
+    real, calls = bp.gvm_design.phasematching_angle, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bp.gvm_design, "phasematching_angle", counted)
+    assert bp.cli.main(["design-gvm", "--material", "BBO", "--scheme", "angle"]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0 < len(calls) <= 11
+
+
+def test_gvm_scan_zeros_are_the_sign_changes(db):
+    scan = gvm_scan(db["KTP"], scheme="angle")
+    curves = np.stack((scan.g_s + scan.g_i, scan.g_s, scan.g_i))
+    assert scan.zeros.shape == (3, scan.lambdas.size - 1)
+    crosses = curves[:, :-1] * curves[:, 1:] <= 0
+    np.testing.assert_array_equal(~np.isnan(scan.zeros), crosses)
+    k, j = np.nonzero(crosses)
+    assert set(k) == {0, 1, 2}
+    assert np.all((scan.lambdas[j] <= scan.zeros[k, j]) & (scan.zeros[k, j] <= scan.lambdas[j + 1]))
+
+
 # --------------------------------------------------------- asymmetric design
 
 
 def test_symmetric_point_is_not_asymmetric(db):
-    lam = gvm_wavelength_search(db["BBO"], scheme="angle")
+    lam = gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angle"))
     with pytest.raises(bp.NotAsymmetric):
         asymmetric_design(db["BBO"], lam, 10_000.0, 1.0)
 
@@ -361,8 +489,8 @@ def test_matched_source_is_the_source_built_by_hand(db, source):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda db: gvm_wavelength_search(db["BBO"], scheme="angel"),
-        lambda db: decorrelation_range(db["BBO"], scheme="angel"),
+        lambda db: gvm_wavelength_search(gvm_scan(db["BBO"], scheme="angel")),
+        lambda db: decorrelation_range(gvm_scan(db["BBO"], scheme="angel")),
         lambda db: asymmetric_design(db["KDP"], 0.83, 20_000.0, 5.0, scheme="Angle"),
         lambda db: bp.matched_source(db["KDP"], 0.83, 20_000.0, 5.0, scheme="Angle"),
     ],

@@ -179,16 +179,19 @@ def test_phasematching_angle_array_matches_scalar_calls(db):
 
 def _reference_angle(model, lam):
     """The angle solve written on carrier_mismatch itself: the same 61-point
-    bracket and find_root, with NaN where no angle exists."""
+    bracket and find_root from the scanned values, with NaN where no angle exists."""
     lam = np.asarray(lam, dtype=float)
     scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    sign = np.sign(bp.carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam))
+    values = bp.carrier_mismatch(model, scan.reshape((-1,) + (1,) * lam.ndim), lam)
+    sign = np.sign(values)
     change = sign[:-1] * sign[1:] < 0
     found, first = change.any(axis=0), change.argmax(axis=0)
     theta = np.full(lam.shape, np.nan)
     lo = first[found]
+    lanes = np.flatnonzero(found)
     theta[found] = find_root(
-        lambda t: bp.carrier_mismatch(model, t, lam[found]), scan[lo], scan[lo + 1]
+        lambda t: bp.carrier_mismatch(model, t, lam[found]),
+        scan[lo], scan[lo + 1], values[lo, lanes], values[lo + 1, lanes],
     )
     return theta
 
@@ -225,28 +228,53 @@ def test_angle_solve_reads_the_dispersion_once(monkeypatch, db, material, lam):
     assert len(calls) == 3
 
 
+def _solve(f, a, b):
+    """find_root on brackets whose end values are sampled here, as callers do."""
+    return find_root(f, a, b, f(np.asarray(a, dtype=float)), f(np.asarray(b, dtype=float)))
+
+
 def test_find_root_solves_a_vector_of_brackets():
     c = np.array([2.0, 8.0, 27.0, 0.001, 5.0])
     a = np.array([0.0, 0.0, 3.0, 0.0, 1.0])
     b = np.array([2.0, 2.0, 4.0, 1.0, 2.0])
-    roots = find_root(lambda x: x**3 - c, a, b)
+    roots = _solve(lambda x: x**3 - c, a, b)
     # exact zeros at a bracket end come back exactly
     assert roots[1] == 2.0 and roots[2] == 3.0
     np.testing.assert_allclose(roots, np.cbrt(c), rtol=1e-15)
     # a root at 0 is found to a few ulp of the starting bracket
-    assert abs(find_root(lambda x: x + 1e-30, -1.0, 1.0)) < 1e-15
-    dottie = find_root(lambda x: np.cos(x) - x, 0.0, 1.0)
+    assert abs(_solve(lambda x: x + 1e-30, -1.0, 1.0)) < 1e-15
+    dottie = _solve(lambda x: np.cos(x) - x, 0.0, 1.0)
     assert dottie == pytest.approx(0.7390851332151607, abs=1e-15)
 
 
 def test_find_root_rejects_brackets_without_a_sign_change():
     with pytest.raises(bp.NumericalFailure):
-        find_root(lambda x: x**2 + 1.0, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+        _solve(lambda x: x**2 + 1.0, np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     with pytest.raises(bp.NumericalFailure):
-        find_root(lambda x: x - 0.5, np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+        _solve(lambda x: x - 0.5, np.array([0.0, np.nan]), np.array([1.0, 1.0]))
     # a function that turns non-finite inside the bracket cannot be trusted
     with pytest.raises(bp.NumericalFailure):
-        find_root(lambda x: np.where(np.abs(x - 0.5) < 0.3, np.nan, x - 0.5), 0.0, 1.0)
+        _solve(lambda x: np.where(np.abs(x - 0.5) < 0.3, np.nan, x - 0.5), 0.0, 1.0)
+
+
+def test_find_root_never_evaluates_a_bracket_end():
+    c = np.array([2.0, 8.0, 0.001, 5.0])
+    a = np.array([0.0, 1.0, 0.0, 1.0])
+    b = np.array([2.0, 3.0, 1.0, 2.0])
+    points = []
+
+    def f(x):
+        points.append(np.array(x, copy=True))
+        return x**3 - c
+
+    roots = find_root(f, a, b, a**3 - c, b**3 - c)
+    np.testing.assert_allclose(roots, np.cbrt(c), rtol=1e-15)
+    # every lane's call lies strictly inside its starting bracket, frozen lanes too
+    assert points and all(np.all((a < x) & (x < b)) for x in points)
+    # the values passed in are the only ones read at the ends: an exact zero
+    # claimed at an end is taken as the root without a call
+    points.clear()
+    assert find_root(f, 1.0, 3.0, 0.0, 19.0) == 1.0 and points == []
 
 
 def test_import_leaves_scipy_out():
