@@ -32,12 +32,12 @@ from .jsa import (
     _normalized,
     _stack_on_grid,
     _stack_phasematching,
+    _waves,
     upsilon,
 )
 from .materials import (
     NONCRITICAL_THETA,
     carrier_mismatch,
-    forward_mismatch,
     group_delays,
     phasematching_angle,
 )
@@ -63,7 +63,9 @@ class AssemblyConfig:
 
 def assembly_phasematching(cfg, nu_s, nu_i):
     """Complex N-crystal phasematching at arbitrary detunings, full dispersion."""
-    return _stack_phasematching(cfg.crystal, forward_mismatch, (nu_s, nu_i), cfg)
+    vs = np.asarray(nu_s, dtype=float)
+    vi = np.asarray(nu_i, dtype=float)
+    return _stack_phasematching(cfg.crystal, _waves(vs, vi, vs + vi, lambda v: v), cfg)
 
 
 def assembly_jsa_grid(pump, cfg, grid):

@@ -6,6 +6,8 @@ wavenumber in rad/um. Wavelengths at API boundaries are vacuum wavelengths.
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: speed of light in um/ps
 C_UM_PS = 299.792458
 
@@ -35,8 +37,12 @@ def sigma_from_fwhm_nm(fwhm_nm, lambda_um):
     """Pump amplitude width sigma (rad/ps) from an intensity FWHM in nm.
 
     The envelope is exp(-(nu/sigma)^2) in amplitude, so the intensity FWHM in
-    angular frequency is sqrt(2 ln 2) sigma.
+    angular frequency is sqrt(2 ln 2) sigma. A FWHM of lambda_um or more, a
+    pump at least as wide in frequency as its own carrier, is a ConfigError.
     """
+    if np.any(fwhm_nm * 1e-3 >= lambda_um):
+        pump_nm = np.round(lambda_um * 1e3, 6)
+        raise ConfigError(f"pump FWHM {fwhm_nm} nm is not below the pump wavelength {pump_nm} nm")
     return domega_from_dlambda(fwhm_nm * 1e-3, lambda_um) / np.sqrt(2.0 * np.log(2.0))
 
 

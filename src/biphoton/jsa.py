@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda, sigma_from_fwhm_nm
 from .errors import BadDomain, ConfigError, DegenerateGrid
@@ -234,26 +235,26 @@ def pump_envelope(pump, nu_sum):
     return np.exp(-((nu / pump.sigma) ** 2) + 1j * pump.beta_t * nu**2)
 
 
-def mismatch_on_grid(material, theta, omega0, grid, grating=0.0):
-    """D = k_s + k_i - (k_p - grating) on the n x n grid, rows nu_s.
-
-    k_p is sampled once on the 2n-1 detuning sums (m - n) dnu and read back
-    at index j + k, so each wavenumber costs O(n) evaluations.
-    """
-    n = grid.n
-    nu = grid.axis()
-    ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + nu)
-    ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + nu)
-    nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
-    kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + nu_sum) - grating
-    idx = np.arange(n)
-    return ks[:, None] + ki[None, :] - kp[idx[:, None] + idx[None, :]]
+def _sinc(x):
+    """sin(x) / x, exactly 1 at x = 0 (np.sinc without its scalings by pi)."""
+    x = np.where(x == 0.0, 1e-20, x)  # sin(1e-20) rounds to 1e-20
+    s = np.sin(x)
+    s /= x
+    return s
 
 
-def phasematching(mismatch, length):
-    """Complex sinc phasematching sinc(x) e^{ix}, x = L D / 2, for D = k_s + k_i - k_p."""
-    x = 0.5 * length * mismatch
-    return np.sinc(x / np.pi) * np.exp(1j * x)
+def _waves(nu_s, nu_i, nu_p, lift):
+    """The waves function of _stack_phasematching at signal, idler and pump
+    detunings nu_s, nu_i and nu_p; lift reads a function of nu_p at the
+    signal-idler points."""
+
+    def waves(material, theta, omega0, grating=0.0):
+        ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + nu_s)
+        ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + nu_i)
+        kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + nu_p)
+        return ks, ki, kp - grating, lift
+
+    return waves
 
 
 def upsilon(n_crystals, x):
@@ -275,24 +276,42 @@ def upsilon(n_crystals, x):
     return out if out.ndim else float(out)
 
 
-def _stack_phasematching(crystal, mismatch, where, stack=None):
+def _stack_phasematching(crystal, waves, stack=None, envelope=1.0):
     """Complex phasematching of a crystal stack; no stack is one crystal.
 
-    mismatch is mismatch_on_grid with where = (grid,), or forward_mismatch with
-    where = (nu_s, nu_i).  stack carries spacer_material, spacer_h_um and
-    n_crystals (an AssemblyConfig).  A poled crystal keeps its grating; N
-    crystals multiply its sinc by the exact geometric sum over periods of the
-    pair phase Phi = L D_c + h D_sp, the spacer unpoled and cut at NONCRITICAL_THETA.
+    waves(material, theta, omega0, grating) gives (k_s, k_i, k_p - grating,
+    lift): _waves on a grid, with the Hankel view as lift, or at points, with
+    the identity. stack carries spacer_material, spacer_h_um and n_crystals (an
+    AssemblyConfig). A poled crystal keeps its grating; N crystals multiply its
+    sinc(x) e^{ix}, x = L D_c / 2, by the exact geometric sum over periods of
+    the pair phase Phi = L D_c + h D_sp, the spacer unpoled and cut at
+    NONCRITICAL_THETA, with D = k_s + k_i - k_p in each medium.
+
+    The phase e^{i (x + (N - 1) Phi / 2)} is linear in the three wavenumbers,
+    so it is the product of one factor per wave, each taken on its own
+    samples; envelope, a factor on the pump samples (the pump amplitude on a
+    grid), joins the pump wave's. Only sinc and the Dirichlet kernel are
+    evaluated per point. sinc(x) e^{ix} is not taken as (e^{2ix} - 1) / (2ix)
+    from those factors: at the carrier x is about 1e-9, and the 1e-11 rad
+    rounding of L k ~ 1e5 rad would leave relative errors up to 1e-2.
     """
-    w0 = crystal.omega0
-    dc = mismatch(crystal.material, crystal.theta, w0, *where, crystal.grating)
-    single = phasematching(dc, crystal.length_um)
+    w0, length = crystal.omega0, crystal.length_um
     n = 1 if stack is None else stack.n_crystals
-    if n == 1:
-        return single
-    dsp = mismatch(stack.spacer_material, NONCRITICAL_THETA, w0, *where)
-    phi = crystal.length_um * dc + stack.spacer_h_um * dsp
-    return n * upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * single
+    ks, ki, kp, lift = waves(crystal.material, crystal.theta, w0, crystal.grating)
+    dc = ks + ki - lift(kp)
+    amp = _sinc(0.5 * length * dc)
+    c = 0.5 * n * length
+    phase_s, phase_i, phase_p = c * ks, c * ki, c * kp
+    if n > 1:
+        ss, si, sp, _ = waves(stack.spacer_material, NONCRITICAL_THETA, w0)
+        h = stack.spacer_h_um
+        amp *= n * upsilon(n, 0.5 * (length * dc + h * (ss + si - lift(sp))))
+        c = 0.5 * (n - 1) * h
+        phase_s, phase_i, phase_p = phase_s + c * ss, phase_i + c * si, phase_p + c * sp
+    values = np.exp(1j * phase_s) * np.exp(1j * phase_i)
+    values *= lift(np.exp(-1j * phase_p) * envelope)
+    values *= amp
+    return values
 
 
 def gaussian_model(pump, coeffs, nu_s, nu_i):
@@ -325,10 +344,17 @@ def _check_carrier(pump, crystal, grid):
 
 
 def _stack_on_grid(pump, crystal, grid, stack=None):
-    """Normalized full-sinc amplitude of a crystal stack on a square grid."""
-    values = _stack_phasematching(crystal, mismatch_on_grid, (grid,), stack)
+    """Normalized full-sinc amplitude of a crystal stack on a square grid.
+
+    The pump wave and the pump envelope depend on nu_s + nu_i alone: both are
+    sampled once on the 2n - 1 sums (m - n) dnu and read back at index j + k
+    through a Hankel view, so every wavenumber and phase costs O(n).
+    """
+    n = grid.n
     nu = grid.axis()
-    values *= pump_envelope(pump, nu[:, None] + nu[None, :])
+    nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
+    waves = _waves(nu[:, None], nu[None, :], nu_sum, lambda v: sliding_window_view(v, n))
+    values = _stack_phasematching(crystal, waves, stack, pump_envelope(pump, nu_sum))
     return _normalized(grid, values)
 
 
@@ -370,14 +396,16 @@ def joint_temporal_intensity(ja):
 
 def intensity_correlation(ja):
     """Pearson correlation of the two axes under the intensity |f|^2."""
-    w = np.abs(ja.values) ** 2
-    w = w / np.sum(w)
+    v = ja.values
+    w = np.square(v.real)
+    w += np.square(v.imag)
     x = ja.grid.axis()
     px = w.sum(axis=1)
     py = w.sum(axis=0)
-    mx = np.dot(px, x)
-    my = np.dot(py, x)
-    vx = np.dot(px, (x - mx) ** 2)
-    vy = np.dot(py, (x - my) ** 2)
-    cov = np.einsum("j,k,jk->", x - mx, x - my, w)
-    return float(cov / np.sqrt(vx * vy))
+    total = px.sum()
+    px /= total
+    py /= total
+    dx = x - np.dot(px, x)
+    dy = x - np.dot(py, x)
+    cov = np.dot(dx, w @ dy) / total
+    return float(cov / np.sqrt(np.dot(px, dx**2) * np.dot(py, dy**2)))

@@ -219,19 +219,13 @@ def group_delays(model, theta, omega0, deriv=None):
     return tuple(deriv(model, RaySpec(pol, theta), w) for pol, w in waves)
 
 
-def forward_mismatch(material, theta, omega0, nu_s, nu_i, grating=0.0):
-    """D = k_s + k_i - (k_p - grating) at arbitrary detunings."""
-    vs = np.asarray(nu_s, dtype=float)
-    vi = np.asarray(nu_i, dtype=float)
-    ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + vs)
-    ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + vi)
-    kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + vs + vi)
-    return ks + ki - (kp - grating)
-
-
 def carrier_mismatch(model, theta, lambda_pdc_um):
     """delta_k = k_p - k_s - k_i at degeneracy, without any grating."""
-    return -forward_mismatch(model, theta, omega_from_lambda(lambda_pdc_um), 0.0, 0.0)
+    w0 = omega_from_lambda(lambda_pdc_um)
+    ks = wavenumber(model, RaySpec(SIGNAL_POL, theta), w0)
+    ki = wavenumber(model, RaySpec(IDLER_POL, theta), w0)
+    kp = wavenumber(model, RaySpec(PUMP_POL, theta), 2 * w0)
+    return -(ks + ki - kp)
 
 
 #: iteration cap of find_root; bisection alone reaches one ulp in about 60

@@ -114,14 +114,15 @@ def test_full_turn_per_period_gives_plus_n(db):
     # accumulated phase factor cancel, leaving +N regardless of parity
     crystal = CrystalConfig(db["BBO"], 123.0, 0.5, bp.omega_from_lambda(LAMBDA0))
 
-    def mismatch(material, theta, omega0, grating=0.0):
-        # zero mismatch in the crystal, 1 rad/um in the spacer
-        return np.full((8, 8), 0.0 if material is db["BBO"] else 1.0)
+    def waves(material, theta, omega0, grating=0.0):
+        # zero mismatch in the crystal, 1 rad/um in the spacer (all on k_s)
+        ks = np.full((8, 8), 0.0 if material is db["BBO"] else 1.0)
+        return ks, np.zeros((8, 8)), np.zeros((8, 8)), lambda v: v
 
     for n in (2, 3, 10):
         cfg = AssemblyConfig(crystal, db["CALCITE"], 2.0 * np.pi, n)
         assert np.allclose(
-            _stack_phasematching(crystal, mismatch, (), cfg), float(n), rtol=1e-12, atol=1e-12
+            _stack_phasematching(crystal, waves, cfg), float(n), rtol=1e-12, atol=1e-12
         )
 
 

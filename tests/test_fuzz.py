@@ -10,6 +10,7 @@ import io
 import json
 import struct
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -190,10 +191,25 @@ def test_wavelength_flag_outside_the_material_exits_2(argv, lambda_nm):
     assert doc["error"] == "OutOfRange"
 
 
-def test_non_finite_report_exits_3():
+def test_non_finite_report_exits_3(monkeypatch):
     """sigma^2 of a 1e200 nm pump overflows in factorizability_report; the -inf
-    that json.dumps would print as -Infinity is a NumericalFailure instead."""
+    that json.dumps would print as -Infinity is a NumericalFailure instead.
+    The CLI refuses such a pump as wider than its carrier, so the report is
+    handed the 5 nm pump widened 2e199 times behind that check."""
+    report = cli.factorizability_report
+    monkeypatch.setattr(cli, "factorizability_report",
+                        lambda pump, coeffs: report(replace(pump, sigma=pump.sigma * 2e199), coeffs))
     doc = assert_contract(["analyze", "--material", "KDP", "--lambda-nm", "1262.77",
-                           "--length-mm", "16", "--pump-fwhm-nm", "1e200", "--grid-n", "64"],
+                           "--length-mm", "16", "--pump-fwhm-nm", "5", "--grid-n", "64"],
                           expected=(3,))
     assert doc["error"] == "NumericalFailure" and "non-finite" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "design-asymmetric"])
+@pytest.mark.parametrize("fwhm_nm", ["631.385", "1e20", "1e200"])
+def test_pump_wider_than_its_carrier_exits_2(command, fwhm_nm):
+    """A pump FWHM at or above the pump wavelength is a pump at least as wide in
+    frequency as its carrier: a ConfigError, where it used to give numbers."""
+    doc = assert_contract([command, "--material", "KDP", "--lambda-nm", "1262.77",
+                           "--length-mm", "16", "--pump-fwhm-nm", fwhm_nm], expected=(2,))
+    assert doc["error"] == "ConfigError" and "pump wavelength" in doc["message"]

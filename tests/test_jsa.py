@@ -7,7 +7,15 @@ import pytest
 
 import biphoton as bp
 from biphoton.assembly import AssemblyConfig, assembly_phasematching
-from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, phasematching
+from biphoton.jsa import GAMMA_SINC, CrystalConfig, PumpConfig, _sinc
+from biphoton.materials import (
+    IDLER_POL,
+    NONCRITICAL_THETA,
+    PUMP_POL,
+    SIGNAL_POL,
+    RaySpec,
+    wavenumber,
+)
 
 
 def crystal_phasematching(crystal, nu_s, nu_i):
@@ -85,7 +93,7 @@ def test_phasematching_argument_linear_in_length(db):
 
 
 def test_phasematching_zero_mismatch_is_exactly_one():
-    assert np.all(phasematching(np.zeros((8, 8)), 123.0) == 1.0)
+    assert np.all(_sinc(np.zeros((8, 8))) == 1.0)
 
 
 def test_jsa_grid_matches_pointwise_path(db, kdp_source):
@@ -101,6 +109,89 @@ def test_jsa_grid_matches_pointwise_path(db, kdp_source):
         # the grid path sums the pump detuning as (j + k - n) dnu, the
         # pointwise path as nu_j + nu_k; the ulp noise passes through exp(i L D / 2)
         assert np.max(np.abs(direct - bp.jsa_grid(pump, crystal, grid).values)) < 1e-9
+
+
+def _dense_mismatch(material, theta, omega0, grid, grating=0.0):
+    """D = k_s + k_i - (k_p - grating) on the n x n grid, k_p sampled on the
+    2n - 1 sums (m - n) dnu and gathered at index j + k."""
+    n, nu = grid.n, grid.axis()
+    ks = wavenumber(material, RaySpec(SIGNAL_POL, theta), omega0 + nu)
+    ki = wavenumber(material, RaySpec(IDLER_POL, theta), omega0 + nu)
+    nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
+    kp = wavenumber(material, RaySpec(PUMP_POL, theta), 2 * omega0 + nu_sum) - grating
+    idx = np.arange(n)
+    return ks[:, None] + ki[None, :] - kp[idx[:, None] + idx[None, :]]
+
+
+def dense_reference(pump, crystal, grid, stack=None):
+    """The full-sinc amplitude with every factor taken per grid point: x = L D / 2,
+    np.sinc(x / pi) e^{ix}, the N-crystal factor N upsilon(N, Phi / 2)
+    e^{i (N - 1) Phi / 2}, and the pump envelope on the n^2 sums nu_j + nu_k."""
+    w0 = crystal.omega0
+    dc = _dense_mismatch(crystal.material, crystal.theta, w0, grid, crystal.grating)
+    x = 0.5 * crystal.length_um * dc
+    values = np.sinc(x / np.pi) * np.exp(1j * x)
+    if stack is not None and stack.n_crystals > 1:
+        n = stack.n_crystals
+        dsp = _dense_mismatch(stack.spacer_material, NONCRITICAL_THETA, w0, grid)
+        phi = crystal.length_um * dc + stack.spacer_h_um * dsp
+        values = n * bp.upsilon(n, 0.5 * phi) * np.exp(0.5j * (n - 1) * phi) * values
+    nu = grid.axis()
+    values = values * bp.pump_envelope(pump, nu[:, None] + nu[None, :])
+    return values / (np.sqrt(np.sum(np.abs(values) ** 2)) * grid.spacing)
+
+
+#: (material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme, chirp_ps2, n)
+REFERENCE_GRIDS = {
+    "KDP-angle": ("KDP", 0.83, 20000.0, 5.0, "angle", 0.0, 256),
+    "KDP-angle-1024": ("KDP", 0.83, 20000.0, 5.0, "angle", 0.0, 1024),
+    "KTP-qpm": ("KTP", 1.566, 20000.0, 1.5, "qpm", 0.0, 256),
+    "KDP-chirped": ("KDP", 0.83, 20000.0, 5.0, "angle", 0.015, 256),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_grid_evaluator_matches_dense_reference(db, name):
+    # the separable phase rounds L k ~ 1e5 rad per wave where the dense form
+    # rounds L D / 2: both carry ~1e-11 rad, far inside 1e-10 of the peak
+    material, lam, length, fwhm, scheme, chirp, n = REFERENCE_GRIDS[name]
+    crystal, pump, coeffs = bp.matched_source(db[material], lam, length, fwhm, scheme, chirp)
+    grid = bp.default_grid(pump, coeffs, n=n)
+    ref = dense_reference(pump, crystal, grid)
+    peak = np.max(np.abs(ref))
+    one = AssemblyConfig(crystal, None, 0.0, 1)
+    for ja in (bp.jsa_grid(pump, crystal, grid), bp.assembly_jsa_grid(pump, one, grid)):
+        assert np.max(np.abs(ja.values - ref)) < 1e-10 * peak
+
+
+def test_stack_grid_matches_dense_reference(db, stack_design):
+    cfg = bp.assembly_config_from_design(stack_design, db["BBO"], db["CALCITE"])
+    grid = bp.central_ridge_grid(stack_design, n=256)
+    ref = dense_reference(stack_design.pump, cfg.crystal, grid, cfg)
+    ja = bp.assembly_jsa_grid(stack_design.pump, cfg, grid)
+    assert np.max(np.abs(ja.values - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_point_evaluator_is_the_grid_evaluator(db, kdp_source, stack_design, stacked):
+    # with a power-of-two step every nu_j + nu_k is exact, so the point path's
+    # pump detunings are the grid's 2n - 1 sums and both paths take the same
+    # wavenumbers; only the order of the final products differs
+    if stacked:
+        cfg = bp.assembly_config_from_design(stack_design, db["BBO"], db["CALCITE"])
+        pump, grid = stack_design.pump, bp.central_ridge_grid(stack_design, n=128)
+    else:
+        crystal, pump, coeffs = kdp_source
+        cfg = AssemblyConfig(crystal, None, 0.0, 1)
+        grid = bp.default_grid(pump, coeffs, n=128)
+    step = 2.0 ** np.round(np.log2(grid.spacing))
+    grid = replace(grid, half_span=0.5 * grid.n * step)
+    nu = grid.axis()
+    points = assembly_phasematching(cfg, nu[:, None], nu[None, :])
+    points *= bp.pump_envelope(pump, nu[:, None] + nu[None, :])
+    points /= np.sqrt(np.sum(np.abs(points) ** 2)) * grid.spacing
+    values = bp.assembly_jsa_grid(pump, cfg, grid).values
+    assert np.max(np.abs(points - values)) < 1e-13 * np.max(np.abs(values))
 
 
 @pytest.mark.parametrize("source", ["KDP-angle", "KTP-qpm"])
@@ -273,6 +364,28 @@ def test_parseval_under_temporal_transform(kdp_jsa):
 def test_kdp_correlations(kdp_jsa):
     assert bp.intensity_correlation(kdp_jsa) < -0.2
     assert abs(bp.intensity_correlation(bp.joint_temporal_intensity(kdp_jsa))) < 0.05
+
+
+def reference_intensity_correlation(ja):
+    """Pearson correlation with every step on the n^2 intensity: |f|^2 through
+    abs, normalized, and the covariance as one three-operand contraction."""
+    w = np.abs(ja.values) ** 2
+    w = w / np.sum(w)
+    x = ja.grid.axis()
+    px, py = w.sum(axis=1), w.sum(axis=0)
+    mx, my = np.dot(px, x), np.dot(py, x)
+    vx, vy = np.dot(px, (x - mx) ** 2), np.dot(py, (x - my) ** 2)
+    return float(np.einsum("j,k,jk->", x - mx, x - my, w) / np.sqrt(vx * vy))
+
+
+@pytest.mark.parametrize("chirp", [0.0, 0.015])
+def test_intensity_correlation_matches_reference(kdp_source, chirp):
+    crystal, pump, coeffs = kdp_source
+    pump = replace(pump, beta_t=chirp)
+    ja = bp.jsa_grid(pump, crystal, bp.default_grid(pump, coeffs, n=256))
+    for amp in (ja, bp.joint_temporal_intensity(ja)):
+        ref = reference_intensity_correlation(amp)
+        assert abs(bp.intensity_correlation(amp) - ref) < 1e-12 * abs(ref)
 
 
 def test_cooperativity_grid_converged(kdp_source, kdp_jsa):
