@@ -13,7 +13,10 @@ become available and quantify how factorable the result is.
 A design window is sampled once: gvm_scan solves the mismatch curves on its
 wavelengths and refines every zero of g_s + g_i, g_s and g_i in one find_root
 call, and gvm_wavelength_search and decorrelation_range read their roots from
-that scan.
+that scan. For an angle-matched crystal the scan's phasematching_angle call is
+the only cold angle solve: each refine wavelength takes Newton steps
+(materials.continue_angle) from the angle interpolated between its bracket's
+two scanned angles.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,13 @@ import numpy as np
 from .constants import GAMMA_SINC, omega_from_lambda
 from .errors import ConfigError, NotAsymmetric, NumericalFailure
 from .jsa import _check_scheme, gaussian_form, marginal_sigmas, matched_source
-from .materials import NONCRITICAL_THETA, find_root, group_delays, phasematching_angle
+from .materials import (
+    NONCRITICAL_THETA,
+    continue_angle,
+    find_root,
+    group_delays,
+    phasematching_angle,
+)
 
 #: wavelengths in the scan that brackets the matched-wavelength roots
 SCAN_POINTS = 64
@@ -51,13 +60,14 @@ class FactorizabilityReport:
     gvm_residual: float
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def factorizability_report(pump, coeffs):
     """The report for this pump and crystal; a figure beyond float range, such as
-    sigma^2 Re b of a pump far wider than its carrier, comes out infinite and
-    without a warning, for the caller to reject."""
+    sigma^2 Re b of a pump far wider than its carrier, or the aspect ratio once
+    both slice widths round to 0, comes out infinite or NaN and without a
+    warning, for the caller to reject."""
     ts, ti = coeffs.tau_s, coeffs.tau_i
-    sig_s, sig_i = marginal_sigmas(pump, coeffs)
+    sig_s, sig_i = np.array(marginal_sigmas(pump, coeffs))
     r = max(sig_s / sig_i, sig_i / sig_s)
     theta = np.degrees(np.arctan(-ts / ti)) if ti != 0.0 else 90.0
     return FactorizabilityReport(
@@ -72,12 +82,20 @@ def factorizability_report(pump, coeffs):
     )
 
 
-def _mismatch_curves(material, scheme, lambdas):
-    """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p', elementwise.
+def _cut(material, scheme, lambdas):
+    """The crystal cut at each wavelength: the phasematching angle, NaN where
+    none exists, or NONCRITICAL_THETA for a poled crystal."""
+    return phasematching_angle(material, lambdas) if scheme == "angle" else NONCRITICAL_THETA
+
+
+def _mismatch_curves(material, scheme, lambdas, theta=None):
+    """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p', elementwise,
+    for the cut theta, by default _cut's.
 
     Entries are NaN where no phasematching angle exists.
     """
-    theta = phasematching_angle(material, lambdas) if scheme == "angle" else NONCRITICAL_THETA
+    if theta is None:
+        theta = _cut(material, scheme, lambdas)
     ok = ~np.isnan(theta)
     w0 = omega_from_lambda(lambdas)
     kp, ks, ki = group_delays(material, np.where(ok, theta, NONCRITICAL_THETA), w0)
@@ -104,6 +122,8 @@ def gvm_scan(material, scheme="angle", window=None):
     """Sample the mismatch curves on SCAN_POINTS wavelengths spanning the
     window and refine every sign change of g_s + g_i, g_s and g_i in one
     find_root call, which starts from the sampled values at the bracket ends.
+    A refine wavelength's phasematching angle is continued from its bracket's
+    two scanned angles, not solved afresh.
 
     The window is clipped to 2% inside the range where both the pair and the
     pump wavelengths are valid; the pump at lambda/2 sets the lower end.
@@ -118,12 +138,20 @@ def gvm_scan(material, scheme="angle", window=None):
     if not lo < hi:
         raise ConfigError(f"empty scan window [{lo}, {hi}] um for {material.material_id}")
     lambdas = np.linspace(lo, hi, SCAN_POINTS)
-    gs, gi = _mismatch_curves(material, scheme, lambdas)
+    theta = _cut(material, scheme, lambdas)
+    gs, gi = _mismatch_curves(material, scheme, lambdas, theta)
     curves = np.stack((gs + gi, gs, gi))
     k, j = np.nonzero(curves[:, :-1] * curves[:, 1:] <= 0)
+    if scheme == "angle":
+        # both ends of every bracket have an angle; each refine wavelength
+        # continues the one interpolated in lambda between them
+        rate = (theta[j + 1] - theta[j]) / (lambdas[j + 1] - lambdas[j])
 
     def f(lam):
-        s, i = _mismatch_curves(material, scheme, lam)
+        cut = NONCRITICAL_THETA
+        if scheme == "angle":
+            cut = continue_angle(material, lam, theta[j] + rate * (lam - lambdas[j]))
+        s, i = _mismatch_curves(material, scheme, lam, cut)
         return np.choose(k, (s + i, s, i))
 
     zeros = np.full((3, SCAN_POINTS - 1), np.nan)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import GAMMA_SINC, lambda_from_omega, omega_from_lambda, sigma_from_fwhm_nm
-from .errors import BadDomain, ConfigError, DegenerateGrid
+from .errors import BadDomain, ConfigError, DegenerateGrid, NumericalFailure
 from .materials import (
     IDLER_POL,
     NONCRITICAL_THETA,
@@ -44,8 +44,11 @@ class PumpConfig:
     beta_t: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.sigma < np.inf and np.isfinite(self.beta_t)):
-            raise ConfigError("pump sigma must be positive and finite, and beta_t finite")
+        # gaussian_form takes sigma^-2, which is finite for sigma above 2^-511
+        if not (2.0**-511 < self.sigma < np.inf and np.isfinite(self.beta_t)):
+            raise ConfigError(
+                "pump sigma must be positive and finite, with sigma^-2 finite, and beta_t finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -395,7 +398,8 @@ def joint_temporal_intensity(ja):
 
 
 def intensity_correlation(ja):
-    """Pearson correlation of the two axes under the intensity |f|^2."""
+    """Pearson correlation of the two axes under the intensity |f|^2; an
+    intensity on one row or column, with zero variance, is a NumericalFailure."""
     v = ja.values
     w = np.square(v.real)
     w += np.square(v.imag)
@@ -408,4 +412,8 @@ def intensity_correlation(ja):
     dx = x - np.dot(px, x)
     dy = x - np.dot(py, x)
     cov = np.dot(dx, w @ dy) / total
-    return float(cov / np.sqrt(np.dot(px, dx**2) * np.dot(py, dy**2)))
+    var = np.dot(px, dx**2) * np.dot(py, dy**2)
+    if not var > 0.0:
+        msg = f"intensity correlation undefined: the axis variances multiply to {var:g}"
+        raise NumericalFailure(msg)
+    return float(cov / np.sqrt(var))

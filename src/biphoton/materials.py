@@ -274,6 +274,35 @@ def find_root(f, a, b, fa, fb):
     raise NumericalFailure(f"find_root: no convergence in {FIND_ROOT_MAXITER} iterations")
 
 
+def _carrier_parts(model, lam):
+    """What carrier_mismatch reads that does not depend on theta, per wavelength:
+    the principal indices of the pump and the pair, read once."""
+    w_s = omega_from_lambda(lam)
+    w_p = 2 * w_s
+    no2_s, ne2_s = _principal_squares(model, w_s)
+    no2_p, ne2_p = _principal_squares(model, w_p)
+    return w_s, no2_s, ne2_s, np.sqrt(no2_s) * w_s / C_UM_PS, w_p, no2_p, ne2_p
+
+
+def _angle_mismatch(theta, w_s, no2_s, ne2_s, k_i, w_p, no2_p, ne2_p, slope=False):
+    """carrier_mismatch from _carrier_parts, in its operation order and so with
+    its bits; with slope=True also d(delta_k)/d(theta), through
+    dn/d(s2) = -n^3 (1/n_e^2 - 1/n_o^2) / 2 and d(s2)/d(theta) = sin(2 theta)."""
+    s2 = np.sin(theta) ** 2
+    n_s, n_p = _mixed_index(no2_s, ne2_s, s2), _mixed_index(no2_p, ne2_p, s2)
+    dk = -(n_s * w_s / C_UM_PS + k_i - n_p * w_p / C_UM_PS)
+    if not slope:
+        return dk
+    dn_s = -0.5 * n_s**3 * (1.0 / ne2_s - 1.0 / no2_s)
+    dn_p = -0.5 * n_p**3 * (1.0 / ne2_p - 1.0 / no2_p)
+    return dk, (dn_p * w_p - dn_s * w_s) / C_UM_PS * np.sin(2.0 * theta)
+
+
+def _check_residual(dk):
+    if np.any(np.abs(dk) > 1e-10):
+        raise NumericalFailure("phasematching residual above 1e-10 rad/um")
+
+
 def phasematching_angle(model, lambda_pdc_um):
     """Collinear degenerate phasematching angle (rad), elementwise in lambda.
 
@@ -286,21 +315,9 @@ def phasematching_angle(model, lambda_pdc_um):
     a scalar wavelength raises NoPhasematch there.
     """
     lam = np.asarray(lambda_pdc_um, dtype=float)
-    w_s = omega_from_lambda(lam)
-    w_p = 2 * w_s
-    no2_s, ne2_s = _principal_squares(model, w_s)
-    no2_p, ne2_p = _principal_squares(model, w_p)
-    # what carrier_mismatch reads that does not depend on theta, per lane
-    parts = (w_s, no2_s, ne2_s, np.sqrt(no2_s) * w_s / C_UM_PS, w_p, no2_p, ne2_p)
-
-    def mismatch(theta, w_s, no2_s, ne2_s, k_i, w_p, no2_p, ne2_p):
-        s2 = np.sin(theta) ** 2
-        k_s = _mixed_index(no2_s, ne2_s, s2) * w_s / C_UM_PS
-        k_p = _mixed_index(no2_p, ne2_p, s2) * w_p / C_UM_PS
-        return -(k_s + k_i - k_p)
-
+    parts = _carrier_parts(model, lam)
     scan = np.linspace(np.radians(0.5), np.radians(89.99), 61)
-    values = mismatch(scan.reshape((-1,) + (1,) * lam.ndim), *parts)
+    values = _angle_mismatch(scan.reshape((-1,) + (1,) * lam.ndim), *parts)
     sign = np.sign(values)
     change = sign[:-1] * sign[1:] < 0
     found, first = change.any(axis=0), change.argmax(axis=0)
@@ -309,9 +326,10 @@ def phasematching_angle(model, lambda_pdc_um):
     f_lo, f_hi = np.take_along_axis(values, np.stack((first, first + 1)), axis=0)[:, found]
 
     theta = np.full(lam.shape, np.nan)
-    theta[found] = find_root(lambda t: mismatch(t, *lanes), scan[lo], scan[lo + 1], f_lo, f_hi)
-    if np.any(np.abs(carrier_mismatch(model, theta[found], lam[found])) > 1e-10):
-        raise NumericalFailure("phasematching residual above 1e-10 rad/um")
+    theta[found] = find_root(
+        lambda t: _angle_mismatch(t, *lanes), scan[lo], scan[lo + 1], f_lo, f_hi
+    )
+    _check_residual(carrier_mismatch(model, theta[found], lam[found]))
     if lam.ndim:
         return theta
     if not found:
@@ -319,6 +337,42 @@ def phasematching_angle(model, lambda_pdc_um):
             f"{model.material_id}: no collinear phasematching angle at {lambda_pdc_um} um"
         )
     return float(theta)
+
+
+#: iteration cap of continue_angle; from a guess interpolated between two
+#: scanned angles Newton reaches the rounding floor in 3-4 steps
+CONTINUE_MAXITER = 12
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def continue_angle(model, lambda_pdc_um, theta_guess):
+    """The phasematching angle (rad) continued by Newton steps in theta from a
+    guess near it, such as an angle interpolated between two solved wavelengths.
+
+    Takes the mismatch and its theta slope from the formula phasematching_angle
+    iterates. A lane is frozen one step after its mismatch is within 16 ulp of
+    k_p, its rounding floor. Raises NumericalFailure when a lane does not settle
+    within CONTINUE_MAXITER steps, settles outside [0, pi/2] (on the mirror root
+    pi - theta, say) or misses the 1e-10 rad/um residual, so an angle it returns
+    is a zero of the carrier mismatch in [0, pi/2].
+    """
+    parts = _carrier_parts(model, np.asarray(lambda_pdc_um, dtype=float))
+    theta = np.array(theta_guess, dtype=float)
+    theta, *parts = np.broadcast_arrays(theta, *parts)
+    floor = 32.0 * np.finfo(float).eps * parts[3]  # 16 ulp of k_p, about 2 k_i
+    done = np.zeros(theta.shape, dtype=bool)
+    for _ in range(CONTINUE_MAXITER):
+        dk, slope = _angle_mismatch(theta, *parts, slope=True)
+        theta = np.where(done, theta, theta - dk / slope)
+        done = done | (np.abs(dk) <= floor)
+        if done.all():
+            break
+    else:
+        raise NumericalFailure(f"continue_angle: no convergence in {CONTINUE_MAXITER} steps")
+    if not np.all((theta >= 0.0) & (theta <= np.pi / 2)):
+        raise NumericalFailure("continue_angle: left [0, pi/2]")
+    _check_residual(_angle_mismatch(theta, *parts))
+    return theta
 
 
 def qpm_grating(model, lambda_pdc_um):

@@ -213,3 +213,22 @@ def test_pump_wider_than_its_carrier_exits_2(command, fwhm_nm):
     doc = assert_contract([command, "--material", "KDP", "--lambda-nm", "1262.77",
                            "--length-mm", "16", "--pump-fwhm-nm", fwhm_nm], expected=(2,))
     assert doc["error"] == "ConfigError" and "pump wavelength" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "design-asymmetric"])
+def test_pump_too_narrow_for_float_range_exits_2(command):
+    """A 1e-300 nm pump has a sigma whose sigma^-2 overflows; design-asymmetric
+    used to end in a ZeroDivisionError traceback (exit 1) from the aspect ratio
+    of the two slice widths, both rounded to 0."""
+    doc = assert_contract([command, "--material", "KDP", "--lambda-nm", "830",
+                           "--length-mm", "20", "--pump-fwhm-nm", "1e-300"], expected=(2,))
+    assert doc["error"] == "ConfigError" and "sigma^-2" in doc["message"]
+
+
+def test_zero_variance_intensity_exits_3():
+    """A 1e30 mm crystal leaves the JTI on one grid line: its intensity
+    correlation used to print a RuntimeWarning for 0/0 before the exit-3 line."""
+    doc = assert_contract(["analyze", "--material", "BBO", "--lambda-nm", "830",
+                           "--length-mm", "1e30", "--pump-fwhm-nm", "5", "--grid-n", "32"],
+                          expected=(3,))
+    assert doc["error"] == "NumericalFailure" and "intensity correlation" in doc["message"]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import biphoton as bp
+import biphoton.cli  # noqa: F401  (bp.cli.main below)
 from biphoton.gvm_design import (
+    SCAN_POINTS,
     asymmetric_design,
     decorrelation_range,
     factorizability_report,
@@ -27,6 +29,7 @@ from biphoton.jsa import (
     qpm_matched_crystal,
     taylor_coefficients,
 )
+from biphoton.materials import continue_angle
 
 GAMMA = bp.GAMMA_SINC
 
@@ -238,18 +241,75 @@ def test_shared_scan_matches_two_separate_refines(db, material, scheme):
     assert found > 0
 
 
-def test_design_gvm_solves_the_bbo_window_in_eleven_angle_calls(monkeypatch, capsys):
-    # one 64-wavelength scan, then one angle solve per iteration of the one refine
-    real, calls = bp.gvm_design.phasematching_angle, []
+def _count_calls(monkeypatch, name):
+    """Wrap gvm_design's `name` in place; the list of argument tuples it gets."""
+    real, calls = getattr(bp.gvm_design, name), []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bp.gvm_design, "phasematching_angle", counted)
+    monkeypatch.setattr(bp.gvm_design, name, counted)
+    return calls
+
+
+def test_design_gvm_solves_the_bbo_window_in_one_angle_call(monkeypatch, capsys):
+    # the 64-wavelength scan is the one cold angle solve; the refine continues
+    # the scanned angles
+    calls = _count_calls(monkeypatch, "phasematching_angle")
     assert bp.cli.main(["design-gvm", "--material", "BBO", "--scheme", "angle"]) == 0
     assert capsys.readouterr().err == ""
-    assert 0 < len(calls) <= 11
+    assert len(calls) == 1 and np.shape(calls[0][1]) == (SCAN_POINTS,)
+
+
+#: the angle scheme's seeds in test_shared_scan_matches_two_separate_refines
+ANGLE_SEEDS = {"KDP": 0, "BBO": 2, "KTP": 4, "CALCITE": 6}
+
+
+@pytest.mark.parametrize("material", sorted(ANGLE_SEEDS))
+def test_refine_continues_the_scanned_angles(monkeypatch, db, material):
+    model = db[material]
+    cold_calls = _count_calls(monkeypatch, "phasematching_angle")
+    continued = _count_calls(monkeypatch, "continue_angle")
+    refined = 0
+    for window in _design_windows(model, ANGLE_SEEDS[material]):
+        cold_calls.clear()
+        try:
+            scan = gvm_scan(model, "angle", window)
+        except bp.ConfigError:
+            continue
+        # the scan's own call, however many refine iterations follow it
+        assert len(cold_calls) == 1, window
+        refined += bool(np.isfinite(scan.zeros).any())
+    assert refined > 0
+    lams = np.concatenate([np.asarray(lam) for _, lam, _ in continued])
+    thetas = np.concatenate([continue_angle(*args) for args in continued])
+    cold = bp.phasematching_angle(model, lams)
+    # phasematching_angle itself lies up to 1.7e-14 (relative) from the exact zero
+    # of its rounded formula, which the continuation solves too: two correct
+    # solves can differ by twice that
+    assert np.max(np.abs(thetas - cold) / cold) <= 5e-14
+    assert np.max(np.abs(bp.carrier_mismatch(model, thetas, lams))) <= 1e-10
+
+
+def _kdp_angle(db):
+    return bp.phasematching_angle(db["KDP"], 0.83)
+
+
+@pytest.mark.parametrize(
+    "lam, guess",
+    [
+        (0.45, lambda db: 1.0),  # no angle exists: Newton never settles
+        (0.83, lambda db: np.nan),
+        (0.83, lambda db: np.pi / 2),  # zero slope: the step runs off
+        (0.83, lambda db: np.pi - _kdp_angle(db) + 1e-3),  # next to the mirror root
+        (np.array([0.83, 0.45]), lambda db: np.array([_kdp_angle(db), 1.0])),
+    ],
+    ids=["no-angle", "nan-guess", "flat-guess", "mirror-root", "one-bad-lane"],
+)
+def test_continuation_that_does_not_converge_raises(db, lam, guess):
+    with pytest.raises(bp.NumericalFailure):
+        continue_angle(db["KDP"], lam, guess(db))
 
 
 def test_gvm_scan_zeros_are_the_sign_changes(db):
