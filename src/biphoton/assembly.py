@@ -76,7 +76,7 @@ def assembly_jsa_grid(pump, cfg, grid):
 
 def _unit_mismatch_sums(material, theta, omega0):
     """(k_s' + k_i' - 2 k_p', k_p' - k_s', k_p' - k_i') per unit length."""
-    kp1, ks1, ki1 = group_delays(material, theta, omega0)
+    (kp1, _), (ks1, _), (ki1, _) = group_delays(material, theta, omega0)
     return ks1 + ki1 - 2 * kp1, kp1 - ks1, kp1 - ki1
 
 

@@ -82,23 +82,12 @@ def factorizability_report(pump, coeffs):
     )
 
 
-def _cut(material, scheme, lambdas):
-    """The crystal cut at each wavelength: the phasematching angle, NaN where
-    none exists, or NONCRITICAL_THETA for a poled crystal."""
-    return phasematching_angle(material, lambdas) if scheme == "angle" else NONCRITICAL_THETA
-
-
-def _mismatch_curves(material, scheme, lambdas, theta=None):
+def _mismatch_curves(material, lambdas, theta):
     """Per-unit-length group-velocity mismatches g_mu = k_mu' - k_p', elementwise,
-    for the cut theta, by default _cut's.
-
-    Entries are NaN where no phasematching angle exists.
-    """
-    if theta is None:
-        theta = _cut(material, scheme, lambdas)
+    for the cut theta; NaN where theta is NaN (no phasematching angle exists)."""
     ok = ~np.isnan(theta)
     w0 = omega_from_lambda(lambdas)
-    kp, ks, ki = group_delays(material, np.where(ok, theta, NONCRITICAL_THETA), w0)
+    (kp, _), (ks, _), (ki, _) = group_delays(material, np.where(ok, theta, NONCRITICAL_THETA), w0)
     return np.where(ok, ks - kp, np.nan), np.where(ok, ki - kp, np.nan)
 
 
@@ -138,8 +127,8 @@ def gvm_scan(material, scheme="angle", window=None):
     if not lo < hi:
         raise ConfigError(f"empty scan window [{lo}, {hi}] um for {material.material_id}")
     lambdas = np.linspace(lo, hi, SCAN_POINTS)
-    theta = _cut(material, scheme, lambdas)
-    gs, gi = _mismatch_curves(material, scheme, lambdas, theta)
+    theta = phasematching_angle(material, lambdas) if scheme == "angle" else NONCRITICAL_THETA
+    gs, gi = _mismatch_curves(material, lambdas, theta)
     curves = np.stack((gs + gi, gs, gi))
     k, j = np.nonzero(curves[:, :-1] * curves[:, 1:] <= 0)
     if scheme == "angle":
@@ -151,7 +140,7 @@ def gvm_scan(material, scheme="angle", window=None):
         cut = NONCRITICAL_THETA
         if scheme == "angle":
             cut = continue_angle(material, lam, theta[j] + rate * (lam - lambdas[j]))
-        s, i = _mismatch_curves(material, scheme, lam, cut)
+        s, i = _mismatch_curves(material, lam, cut)
         return np.choose(k, (s + i, s, i))
 
     zeros = np.full((3, SCAN_POINTS - 1), np.nan)
@@ -230,6 +219,7 @@ class TemporalReport:
     sigma_M_sq_asymptotic: float
 
 
+@np.errstate(divide="ignore")
 def temporal_report(pump, coeffs):
     """Exact Gaussian-model temporal metrics via the complex covariance.
 
@@ -237,7 +227,8 @@ def temporal_report(pump, coeffs):
     where with jsa.gaussian_form's (a, b, c) the spectral exponent is
     -nu^T M nu with M = [[a, i Im b], [i Im b, c]]; Re b is dropped.
     Fourier transforming, the JTI is exp(-t^T R t / 2) with R = Re(M^{-1}),
-    so dt_mu = 2 / sqrt(R_mumu) and sigma_M^2 = R_01 / 2.
+    so dt_mu = 2 / sqrt(R_mumu) and sigma_M^2 = R_01 / 2. An infinite (a, b, c)
+    makes dt_mu infinite, unwarned, for the caller to reject.
     """
     a, b, c = gaussian_form(pump, coeffs)
     M = np.array([[a, 1j * b.imag], [1j * b.imag, c]])

@@ -26,7 +26,6 @@ from .materials import (
     SIGNAL_POL,
     DispersionModel,
     RaySpec,
-    _k_derivatives,
     carrier_mismatch,
     group_delays,
     phasematching_angle,
@@ -124,7 +123,7 @@ def taylor_coefficients(crystal):
             f"crystal not phasematched: residual delta_k0 = {residual:.3e} rad/um"
         )
     carriers = (crystal.material, crystal.theta, crystal.omega0)
-    (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(*carriers, _k_derivatives)
+    (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(*carriers)
     return TaylorCoefficients(
         tau_s=L * (ks1 - kp1),
         tau_i=L * (ki1 - kp1),
@@ -158,10 +157,12 @@ def matched_source(material, lambda_pdc_um, length_um, pump_fwhm_nm, scheme="ang
     return crystal, pump, crystal.coeffs
 
 
+@np.errstate(over="ignore")
 def gaussian_form(pump, coeffs):
     """Complex (a, b, c) of the Gaussian-model exponent -(a nu_s^2 + 2 b nu_s nu_i
     + c nu_i^2) + i (tau_s nu_s + tau_i nu_i)/2; the amplitude factorizes exactly
-    when b = 0 (Grice, U'Ren & Walmsley, PRA 64, 063815)."""
+    when b = 0 (Grice, U'Ren & Walmsley, PRA 64, 063815). A tau^2 beyond float
+    range gives an infinite coefficient, unwarned, for the caller to reject."""
     s2, g4 = pump.sigma**-2, 0.25 * GAMMA_SINC
     ts, ti, bt = coeffs.tau_s, coeffs.tau_i, pump.beta_t
     a = complex(s2 + g4 * ts**2, -(bt + 0.5 * coeffs.beta_s))

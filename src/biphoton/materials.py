@@ -77,9 +77,13 @@ class RaySpec:
     theta: float = np.pi / 2
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        if not np.all((th >= 0.0) & (th <= np.pi / 2 + 1e-12)):
-            raise ConfigError(f"theta {self.theta} outside [0, pi/2]")
+        _check_theta(self.theta)
+
+
+def _check_theta(theta):
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th >= 0.0) & (th <= np.pi / 2 + 1e-12)):
+        raise ConfigError(f"theta {theta} outside [0, pi/2]")
 
 
 #: the principal index each wave of the pair geometry sees
@@ -144,13 +148,10 @@ def _check_range(model, lambda_um):
         )
 
 
-def refractive_index(model, ray, lambda_um):
-    """Index seen by the ray at vacuum wavelength lambda_um (um)."""
+def _principal_squares(model, lambda_um):
+    """(n_o^2, n_e^2) at vacuum wavelength lambda_um (um)."""
     _check_range(model, lambda_um)
-    no2 = model.sellmeier_o.n_squared(lambda_um)
-    if ray.polarization is Pol.ORDINARY:
-        return np.sqrt(no2)
-    return _mixed_index(no2, model.sellmeier_e.n_squared(lambda_um), np.sin(ray.theta) ** 2)
+    return model.sellmeier_o.n_squared(lambda_um), model.sellmeier_e.n_squared(lambda_um)
 
 
 def _mixed_index(no2, ne2, s2):
@@ -158,11 +159,12 @@ def _mixed_index(no2, ne2, s2):
     return 1.0 / np.sqrt((1.0 - s2) / no2 + s2 / ne2)
 
 
-def _principal_squares(model, omega):
-    """(n_o^2, n_e^2) at omega (rad/ps), from the wavelength wavenumber uses."""
-    lam = lambda_from_omega(omega)
-    _check_range(model, lam)
-    return model.sellmeier_o.n_squared(lam), model.sellmeier_e.n_squared(lam)
+def refractive_index(model, ray, lambda_um):
+    """Index seen by the ray at vacuum wavelength lambda_um (um)."""
+    no2, ne2 = _principal_squares(model, lambda_um)
+    if ray.polarization is Pol.ORDINARY:
+        return np.sqrt(no2)
+    return _mixed_index(no2, ne2, np.sin(ray.theta) ** 2)
 
 
 def wavenumber(model, ray, omega):
@@ -171,8 +173,8 @@ def wavenumber(model, ray, omega):
     return refractive_index(model, ray, lam) * np.asarray(omega, dtype=float) / C_UM_PS
 
 
-def _k_derivatives(model, ray, omega):
-    """(dk/domega, d2k/domega2) in closed form from the Sellmeier data.
+def _k_derivatives(model, omega, *rays):
+    """Yields (dk/domega, d2k/domega2) of each ray at omega, from one Sellmeier read.
 
     u = 1/n^2 = (1 - s2)/n_o^2 + s2/n_e^2, with s2 = sin^2(theta) for the
     extraordinary ray and 0 for the ordinary one, gives n_x and n_xx at
@@ -182,50 +184,47 @@ def _k_derivatives(model, ray, omega):
     lam = lambda_from_omega(np.asarray(omega, dtype=float))
     _check_range(model, lam)
     x = lam**2
-    s2 = 0.0 if ray.polarization is Pol.ORDINARY else np.sin(ray.theta) ** 2
-    u = ux = uxx = 0.0
-    for sellmeier, w in ((model.sellmeier_o, 1.0 - s2), (model.sellmeier_e, s2)):
-        f, fx, fxx = sellmeier.x_derivatives(x)
-        u, ux, uxx = u + w / f, ux - w * fx / f**2, uxx + w * (2.0 * fx**2 / f - fxx) / f**2
-    n = u**-0.5
-    nx, nxx = -0.5 * n**3 * ux, n**3 * (0.75 * n**2 * ux**2 - 0.5 * uxx)
-    return (n - 2.0 * x * nx) / C_UM_PS, 2.0 * x * (nx + 2.0 * x * nxx) / (C_UM_PS * omega)
+    reads = (model.sellmeier_o.x_derivatives(x), model.sellmeier_e.x_derivatives(x))
+    for ray in rays:
+        s2 = 0.0 if ray.polarization is Pol.ORDINARY else np.sin(ray.theta) ** 2
+        u = ux = uxx = 0.0
+        for (f, fx, fxx), w in zip(reads, (1.0 - s2, s2)):
+            u, ux, uxx = u + w / f, ux - w * fx / f**2, uxx + w * (2.0 * fx**2 / f - fxx) / f**2
+        n = u**-0.5
+        nx, nxx = -0.5 * n**3 * ux, n**3 * (0.75 * n**2 * ux**2 - 0.5 * uxx)
+        yield (n - 2.0 * x * nx) / C_UM_PS, 2.0 * x * (nx + 2.0 * x * nxx) / (C_UM_PS * omega)
 
 
 def inverse_group_velocity(model, ray, omega):
     """dk/domega (ps/um)."""
-    return _k_derivatives(model, ray, omega)[0]
+    return next(_k_derivatives(model, omega, ray))[0]
 
 
 def gvd(model, ray, omega):
     """d2k/domega2 (ps^2/um)."""
-    return _k_derivatives(model, ray, omega)[1]
+    return next(_k_derivatives(model, omega, ray))[1]
 
 
 def walkoff_angle(model, theta, lambda_um):
     """Poynting walkoff magnitude of the extraordinary ray, in degrees."""
-    neff = refractive_index(model, RaySpec(Pol.EXTRAORDINARY, theta), lambda_um)
-    no2 = model.sellmeier_o.n_squared(lambda_um)
-    ne2 = model.sellmeier_e.n_squared(lambda_um)
+    _check_theta(theta)
+    no2, ne2 = _principal_squares(model, lambda_um)
+    neff = _mixed_index(no2, ne2, np.sin(theta) ** 2)
     rho = np.arctan(0.5 * neff**2 * np.abs(1.0 / ne2 - 1.0 / no2) * np.abs(np.sin(2.0 * theta)))
     return np.degrees(rho)
 
 
-def group_delays(model, theta, omega0, deriv=None):
-    """(pump, signal, idler) values of deriv, by default k' (pass gvd for k'',
-    _k_derivatives for both), with the pump at 2 omega0 and the pair at omega0."""
-    deriv = deriv or inverse_group_velocity
-    waves = ((PUMP_POL, 2 * omega0), (SIGNAL_POL, omega0), (IDLER_POL, omega0))
-    return tuple(deriv(model, RaySpec(pol, theta), w) for pol, w in waves)
+def group_delays(model, theta, omega0):
+    """((k', k'') of the pump, of the signal, of the idler), with the pump at
+    2 omega0 and the pair at omega0."""
+    pump, signal, idler = (RaySpec(pol, theta) for pol in (PUMP_POL, SIGNAL_POL, IDLER_POL))
+    return (*_k_derivatives(model, 2 * omega0, pump), *_k_derivatives(model, omega0, signal, idler))
 
 
 def carrier_mismatch(model, theta, lambda_pdc_um):
     """delta_k = k_p - k_s - k_i at degeneracy, without any grating."""
-    w0 = omega_from_lambda(lambda_pdc_um)
-    ks = wavenumber(model, RaySpec(SIGNAL_POL, theta), w0)
-    ki = wavenumber(model, RaySpec(IDLER_POL, theta), w0)
-    kp = wavenumber(model, RaySpec(PUMP_POL, theta), 2 * w0)
-    return -(ks + ki - kp)
+    _check_theta(theta)
+    return _angle_mismatch(theta, *_carrier_parts(model, lambda_pdc_um))
 
 
 #: iteration cap of find_root; bisection alone reaches one ulp in about 60
@@ -275,19 +274,18 @@ def find_root(f, a, b, fa, fb):
 
 
 def _carrier_parts(model, lam):
-    """What carrier_mismatch reads that does not depend on theta, per wavelength:
-    the principal indices of the pump and the pair, read once."""
+    """What delta_k reads that is independent of theta: the principal indices, read once."""
     w_s = omega_from_lambda(lam)
     w_p = 2 * w_s
-    no2_s, ne2_s = _principal_squares(model, w_s)
-    no2_p, ne2_p = _principal_squares(model, w_p)
+    no2_s, ne2_s = _principal_squares(model, lambda_from_omega(w_s))
+    no2_p, ne2_p = _principal_squares(model, lambda_from_omega(w_p))
     return w_s, no2_s, ne2_s, np.sqrt(no2_s) * w_s / C_UM_PS, w_p, no2_p, ne2_p
 
 
 def _angle_mismatch(theta, w_s, no2_s, ne2_s, k_i, w_p, no2_p, ne2_p, slope=False):
-    """carrier_mismatch from _carrier_parts, in its operation order and so with
-    its bits; with slope=True also d(delta_k)/d(theta), through
-    dn/d(s2) = -n^3 (1/n_e^2 - 1/n_o^2) / 2 and d(s2)/d(theta) = sin(2 theta)."""
+    """delta_k at theta from _carrier_parts, the one formula of carrier_mismatch,
+    phasematching_angle and continue_angle; with slope=True also its theta slope,
+    through dn/d(s2) = -n^3 (1/n_e^2 - 1/n_o^2) / 2 and d(s2)/d(theta) = sin(2 theta)."""
     s2 = np.sin(theta) ** 2
     n_s, n_p = _mixed_index(no2_s, ne2_s, s2), _mixed_index(no2_p, ne2_p, s2)
     dk = -(n_s * w_s / C_UM_PS + k_i - n_p * w_p / C_UM_PS)
@@ -308,11 +306,9 @@ def phasematching_angle(model, lambda_pdc_um):
 
     A 61-point scan in theta brackets the first sign change of the carrier
     mismatch and find_root refines it from the scan's values at the bracket
-    ends. The solve reads the principal indices of the pump and the pair once
-    per call and iterates only their sin^2(theta) mixing, in carrier_mismatch's
-    operation order, so it gives the same bits as a solve on carrier_mismatch;
-    the residual check at the root calls carrier_mismatch. An array of wavelengths gives NaN where no angle exists;
-    a scalar wavelength raises NoPhasematch there.
+    ends. The scan, the root iterations and the residual check at the root all
+    take _angle_mismatch on one _carrier_parts read. An array of wavelengths
+    gives NaN where no angle exists; a scalar wavelength raises NoPhasematch there.
     """
     lam = np.asarray(lambda_pdc_um, dtype=float)
     parts = _carrier_parts(model, lam)
@@ -329,7 +325,7 @@ def phasematching_angle(model, lambda_pdc_um):
     theta[found] = find_root(
         lambda t: _angle_mismatch(t, *lanes), scan[lo], scan[lo + 1], f_lo, f_hi
     )
-    _check_residual(carrier_mismatch(model, theta[found], lam[found]))
+    _check_residual(_angle_mismatch(theta[found], *lanes))
     if lam.ndim:
         return theta
     if not found:

@@ -232,3 +232,16 @@ def test_zero_variance_intensity_exits_3():
                            "--length-mm", "1e30", "--pump-fwhm-nm", "5", "--grid-n", "32"],
                           expected=(3,))
     assert doc["error"] == "NumericalFailure" and "intensity correlation" in doc["message"]
+
+
+@pytest.mark.parametrize("command, code, error, message", [
+    ("analyze", 2, "ConfigError", "half_span"),
+    ("design-asymmetric", 3, "NumericalFailure", "non-finite"),
+])
+def test_crystal_too_long_for_float_range_exits_quietly(command, code, error, message):
+    """A 1e300 mm crystal squares tau beyond float range in gaussian_form, and
+    design-asymmetric's temporal report then divides by a zero R_mumu: both
+    used to print RuntimeWarnings before their one error line."""
+    doc = assert_contract([command, "--material", "KDP", "--lambda-nm", "830",
+                           "--length-mm", "1e300", "--pump-fwhm-nm", "5"], expected=(code,))
+    assert doc["error"] == error and message in doc["message"]

@@ -148,7 +148,12 @@ def _two_refine_reference(material, scheme, window):
     matched wavelength and the decorrelation range, or the error they raise."""
     from biphoton.gvm_design import SCAN_POINTS, _mismatch_curves
     from biphoton.jsa import _check_scheme
-    from biphoton.materials import find_root
+    from biphoton.materials import NONCRITICAL_THETA, find_root, phasematching_angle
+
+    def curves(lam):
+        # every wavelength solves its own cut afresh
+        cut = phasematching_angle(material, lam) if scheme == "angle" else NONCRITICAL_THETA
+        return _mismatch_curves(material, lam, cut)
 
     def scan():
         _check_scheme(scheme)
@@ -161,11 +166,11 @@ def _two_refine_reference(material, scheme, window):
         if not lo < hi:
             raise bp.ConfigError("empty scan window")
         lambdas = np.linspace(lo, hi, SCAN_POINTS)
-        return (lambdas, *_mismatch_curves(material, scheme, lambdas))
+        return (lambdas, *curves(lambdas))
 
     def refine(fn, a, b):
         def f(lam):
-            return fn(*_mismatch_curves(material, scheme, lam))
+            return fn(*curves(lam))
 
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         return find_root(f, a, b, f(a), f(b))

@@ -89,6 +89,10 @@ def test_array_angles_broadcast_against_wavelengths(db):
     for bad in (np.array([0.2, -0.1]), np.array([0.2, np.nan]), np.array([2.0])):
         with pytest.raises(bp.ConfigError):
             RaySpec(Pol.EXTRAORDINARY, bad)
+        with pytest.raises(bp.ConfigError):
+            bp.carrier_mismatch(bbo, bad, 0.8)
+        with pytest.raises(bp.ConfigError):
+            bp.walkoff_angle(bbo, bad, 0.8)
 
 
 def test_flat_material_group_velocity_and_gvd():
@@ -215,17 +219,37 @@ def test_phasematching_angle_is_bit_identical_to_a_carrier_mismatch_solve(db):
 
 @pytest.mark.parametrize("material, lam", [("KDP", 0.83), ("BBO", 0.8), ("KTP", 1.5)])
 def test_angle_solve_reads_the_dispersion_once(monkeypatch, db, material, lam):
-    # the scan and the root iterations reuse the principal indices; the three
-    # wavenumber calls are carrier_mismatch's residual check at the root
-    real, calls = bp.materials.wavenumber, []
+    # n_o^2 and n_e^2 at the pair and at the pump wavelength: the scan, the root
+    # iterations and the residual check at the root all reuse these four reads
+    real, calls = Sellmeier.n_squared, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bp.materials, "wavenumber", counted)
+    monkeypatch.setattr(Sellmeier, "n_squared", counted)
     bp.phasematching_angle(db[material], lam)
-    assert len(calls) == 3
+    assert len(calls) == 4
+
+
+def test_group_delays_read_each_sellmeier_once_per_wavelength(monkeypatch, db):
+    # the signal and the idler share their wavelength and so their two reads;
+    # the pump at twice the frequency makes the other two; sharing them leaves
+    # every value as the single-ray calls give it
+    bbo, w0 = db["BBO"], bp.omega_from_lambda(0.8)
+    expect = tuple(
+        (bp.inverse_group_velocity(bbo, _ray(pol, 0.5), w), bp.gvd(bbo, _ray(pol, 0.5), w))
+        for pol, w in ((Pol.EXTRAORDINARY, 2 * w0), (Pol.EXTRAORDINARY, w0), (Pol.ORDINARY, w0))
+    )
+    real, calls = Sellmeier.x_derivatives, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(Sellmeier, "x_derivatives", counted)
+    assert bp.materials.group_delays(bbo, 0.5, w0) == expect
+    assert len(calls) == 4
 
 
 def _solve(f, a, b):
