@@ -98,6 +98,7 @@ from .schmidt import (
     heralded_state,
     purity,
     schmidt_decompose,
+    spectrum_metrics,
 )
 
 __version__ = "0.1.0"

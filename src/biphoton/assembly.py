@@ -268,4 +268,4 @@ def isolate_central_ridge(ja, design):
     nu = ja.grid.axis()
     keep = np.abs(nu[:, None] - nu[None, :]) < nu_cut
     vals = np.where(keep, ja.values, 0.0)
-    return _normalized(ja.grid, vals, ja.domain)
+    return _normalized(ja.grid, vals)

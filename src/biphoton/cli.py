@@ -68,7 +68,9 @@ from .materials import (
     walkoff_angle,
     wavenumber,
 )
-from .schmidt import SpectralFilter, cooperativity, herald_metrics, schmidt_decompose
+from .schmidt import (
+    SpectralFilter, cooperativity, herald_metrics, schmidt_decompose, spectrum_metrics
+)
 
 # ---------------------------------------------------------------- unit layer
 
@@ -341,16 +343,17 @@ def _load_amplitude(path):
 
 def _build_filter(args):
     if args.filter_kind == "unit":
-        return SpectralFilter.unit()
+        return None
     _require(args, "filter_center_nm", "filter_width_nm")
     if not (0 < args.filter_center_nm < np.inf and 0 < args.filter_width_nm < np.inf):
         raise ConfigError("--filter-center-nm and --filter-width-nm must be positive and finite")
     lam_c = um_from_nm(args.filter_center_nm)
-    center = omega_from_lambda(lam_c)
-    width = domega_from_dlambda(um_from_nm(args.filter_width_nm), lam_c)
-    if args.filter_kind == "gaussian":
-        return SpectralFilter.gaussian(center, width)
-    return SpectralFilter.tophat(center, width)
+    try:  # lam_c^2 may overflow, or underflow to 0
+        width = domega_from_dlambda(um_from_nm(args.filter_width_nm), lam_c)
+    except (OverflowError, ZeroDivisionError) as exc:
+        msg = f"--filter-center-nm {args.filter_center_nm}: its square in um^2 leaves float range"
+        raise ConfigError(msg) from exc
+    return SpectralFilter(args.filter_kind, omega_from_lambda(lam_c), width)
 
 
 def _cmd_schmidt(args):
@@ -360,8 +363,9 @@ def _cmd_schmidt(args):
         raise ConfigError("--max-modes and --n-modes must be at least 1")
     ja = _load_amplitude(args.infile)
     filt = _build_filter(args)
-    metrics = herald_metrics(ja, filt)
-    spectrum = metrics.spectrum
+    # always with modes, so that the lambdas printed do not depend on --modes-csv
+    spectrum = schmidt_decompose(ja)
+    metrics = spectrum_metrics(spectrum, ja.grid, filt)
     lambdas = spectrum.lambdas[: args.max_modes]
     if args.modes_csv:
         # amplitude densities u_kj / sqrt(d nu), (Re, Im) of psi_j then phi_j
@@ -545,7 +549,7 @@ def _repro_properties():
     checks = []
     rng = np.random.default_rng(20260819)
 
-    # (a) spectrum normalization and unit-filter purity on random Gaussians
+    # (a) spectrum normalization and unfiltered purity on random Gaussians
     worst_sum, worst_pk = 0.0, 0.0
     for _ in range(10):
         sigma = rng.uniform(10.0, 60.0)

@@ -51,7 +51,7 @@ def open_for_writing(path, mode, **kwargs):
 
 
 def write_bjsa(ja, path):
-    if ja.domain != "spectral":
+    if not isinstance(ja.grid, FrequencyGrid):
         raise ConfigError("BJSA stores spectral-domain amplitudes only")
     g = ja.grid
     with open_for_writing(path, "wb") as fh:
@@ -84,7 +84,7 @@ def read_bjsa(path):
     data = np.frombuffer(payload, dtype="<c16")
     if not np.isfinite(data).all():
         raise ConfigError("BJSA payload holds a NaN or infinite sample")
-    return JointAmplitude(grid, data.reshape(grid.n, grid.n).copy(), domain="spectral")
+    return JointAmplitude(grid, data.reshape(grid.n, grid.n).copy())
 
 
 def write_table(path, comment, header, blocks):
@@ -117,7 +117,7 @@ def grid_rows(axis, *planes):
 
 def write_csv(ja, path):
     """Four columns (nu_s, nu_i, Re f, Im f) at 17 significant digits."""
-    if ja.domain != "spectral":
+    if not isinstance(ja.grid, FrequencyGrid):
         raise ConfigError("CSV export is for spectral-domain amplitudes")
     g = ja.grid
     comment = f"omega0_rad_ps={float(g.omega0)!r} half_span_rad_ps={float(g.half_span)!r} n={g.n}"
@@ -162,4 +162,4 @@ def read_csv(path):
                           f"grid of half span {h!r} rad/ps")
     vals = np.empty(n * n, dtype=complex)
     vals[cell] = data[:, 2] + 1j * data[:, 3]
-    return JointAmplitude(grid, vals.reshape(n, n), domain="spectral")
+    return JointAmplitude(grid, vals.reshape(n, n))

@@ -70,13 +70,6 @@ class CrystalConfig:
         """Poling period 2 pi / |grating| (um), None when unpoled."""
         return 2.0 * np.pi / abs(self.grating) if self.grating else None
 
-    def lambda0_um(self):
-        return lambda_from_omega(self.omega0)
-
-    def delta_k0(self):
-        """Residual carrier mismatch k_p - k_s - k_i - grating."""
-        return carrier_mismatch(self.material, self.theta, self.lambda0_um()) - self.grating
-
     @cached_property
     def coeffs(self):
         """The crystal's Taylor expansion, taken once (taylor_coefficients)."""
@@ -116,14 +109,14 @@ class TaylorCoefficients:
 
 
 def taylor_coefficients(crystal):
-    L = crystal.length_um
-    residual = crystal.delta_k0()
+    L, material, theta = crystal.length_um, crystal.material, crystal.theta
+    # the residual carrier mismatch k_p - k_s - k_i - grating
+    residual = carrier_mismatch(material, theta, lambda_from_omega(crystal.omega0)) - crystal.grating
     if abs(residual) > 1e-6:
         raise ConfigError(
             f"crystal not phasematched: residual delta_k0 = {residual:.3e} rad/um"
         )
-    carriers = (crystal.material, crystal.theta, crystal.omega0)
-    (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(*carriers)
+    (kp1, kp2), (ks1, ks2), (ki1, ki2) = group_delays(material, theta, crystal.omega0)
     return TaylorCoefficients(
         tau_s=L * (ks1 - kp1),
         tau_i=L * (ki1 - kp1),
@@ -219,7 +212,6 @@ class TimeGrid(_SquareGrid):
 class JointAmplitude:
     grid: object
     values: np.ndarray
-    domain: str = "spectral"
 
     def norm_squared(self):
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
@@ -234,7 +226,9 @@ def default_grid(pump, coeffs, n=256, span_factor=4.0):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pump_envelope(pump, nu_sum):
+    """Pump amplitude at detunings nu_sum; 0 or NaN, unwarned, where nu^2 overflows."""
     nu = np.asarray(nu_sum, dtype=float)
     return np.exp(-((nu / pump.sigma) ** 2) + 1j * pump.beta_t * nu**2)
 
@@ -273,8 +267,9 @@ def upsilon(n_crystals, x):
     xa = np.asarray(x, dtype=float)
     s = np.sin(xa)
     near = np.abs(s) < 1e-9
+    # k is a whole float, so its parity is exact, beyond int64 range too
     k = np.rint(xa / np.pi)
-    limit = np.where(((n - 1) * k.astype(np.int64)) % 2 == 0, 1.0, -1.0)
+    limit = np.where((n - 1) % 2 * (k % 2) == 0, 1.0, -1.0)
     safe = np.where(near, 1.0, s)
     out = np.where(near, limit, np.sin(n * xa) / (n * safe))
     return out if out.ndim else float(out)
@@ -331,11 +326,11 @@ def gaussian_model(pump, coeffs, nu_s, nu_i):
     return np.exp(logmag + 1j * phase)
 
 
-def _normalized(grid, values, domain="spectral"):
+def _normalized(grid, values):
     norm = np.sqrt(np.sum(np.abs(values) ** 2)) * grid.spacing
     if norm == 0.0 or not np.isfinite(norm):
         raise DegenerateGrid("amplitude vanishes or diverges on the grid")
-    return JointAmplitude(grid, values / norm, domain)
+    return JointAmplitude(grid, values / norm)
 
 
 def _check_carrier(pump, crystal, grid):
@@ -386,8 +381,9 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
 
 
 def joint_temporal_intensity(ja):
-    """Centered 2-D DFT of a spectral amplitude; preserves the L2 norm."""
-    if ja.domain != "spectral":
+    """Centered 2-D DFT of a spectral amplitude (on a FrequencyGrid) onto a
+    TimeGrid; preserves the L2 norm."""
+    if not isinstance(ja.grid, FrequencyGrid):
         raise BadDomain("input amplitude is not in the spectral domain")
     grid = ja.grid
     f = ja.values
@@ -395,7 +391,7 @@ def joint_temporal_intensity(ja):
     F = F * (grid.spacing**2 / (2.0 * np.pi))
     dt = 2.0 * np.pi / (grid.n * grid.spacing)
     tgrid = TimeGrid(half_span=0.5 * grid.n * dt, n=grid.n)
-    return JointAmplitude(tgrid, F, domain="temporal")
+    return JointAmplitude(tgrid, F)
 
 
 def intensity_correlation(ja):

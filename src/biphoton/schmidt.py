@@ -183,26 +183,22 @@ def entropy(spectrum):
 
 @dataclass(frozen=True)
 class SpectralFilter:
-    """Amplitude transmission on the idler arm.
+    """Amplitude transmission on the idler arm; no filter is None, not a kind.
 
-    kind "unit": flat; "gaussian": intensity FWHM `width` around `center`;
-    "tophat": unit inside a band of full width `width` around `center`.
-    Frequencies are absolute (grid omega0 plus detuning).
+    kind "gaussian": intensity FWHM `width` around `center`; "tophat": unit
+    inside a band of full width `width` around `center`. Frequencies are
+    absolute (grid omega0 plus detuning).
     """
 
-    kind: str = "unit"
-    center: float = 0.0
-    width: float = 0.0
+    kind: str
+    center: float
+    width: float
 
     def __post_init__(self):
-        if self.kind not in ("unit", "gaussian", "tophat"):
+        if self.kind not in ("gaussian", "tophat"):
             raise ConfigError(f"unknown filter kind {self.kind!r}")
-        if self.kind != "unit" and not (0 < self.center < np.inf and 0 < self.width < np.inf):
+        if not (0 < self.center < np.inf and 0 < self.width < np.inf):
             raise ConfigError("filter center and width must be positive and finite")
-
-    @classmethod
-    def unit(cls):
-        return cls()
 
     @classmethod
     def gaussian(cls, center, fwhm):
@@ -214,11 +210,10 @@ class SpectralFilter:
 
     def amplitude_transmission(self, omega):
         w = np.asarray(omega, dtype=float)
-        if self.kind == "unit":
-            return np.ones_like(w)
         if self.kind == "gaussian":
-            # intensity FWHM = width
-            return np.exp(-2.0 * np.log(2.0) * ((w - self.center) / self.width) ** 2)
+            # intensity FWHM = width; far outside it the square is inf, unwarned: T = 0
+            with np.errstate(over="ignore"):
+                return np.exp(-2.0 * np.log(2.0) * ((w - self.center) / self.width) ** 2)
         return np.where(np.abs(w - self.center) <= 0.5 * self.width, 1.0, 0.0)
 
 
@@ -254,21 +249,18 @@ class HeraldMetrics:
     spectrum: SchmidtSpectrum
 
 
-def herald_metrics(ja, filt=None):
-    """Schmidt measures plus heralded purity and rate from one decomposition.
+def spectrum_metrics(spectrum, grid, filt=None):
+    """HeraldMetrics of a Schmidt spectrum taken on `grid`, behind an optional idler filter.
 
     With no filter the heralded state is diag(lambda) / sum lambda over the kept
-    weights, so only the weights are taken and `spectrum` carries no modes; any
-    filter, the unit filter included, reads the idler modes through
-    heralded_state.
+    weights, read from the weights alone, modes or not; a filter reads the idler
+    modes through heralded_state.
     """
     if filt is None:
-        spectrum = schmidt_decompose(ja, modes=False)
         rate = float(np.sum(spectrum.lambdas))
         pure = float(np.sum((spectrum.lambdas / rate) ** 2))
     else:
-        spectrum = schmidt_decompose(ja)
-        omega = ja.grid.omega0 + ja.grid.axis()
+        omega = grid.omega0 + grid.axis()
         rho, rate = heralded_state(spectrum, filt.amplitude_transmission(omega) ** 2)
         pure = purity(rho)
     return HeraldMetrics(
@@ -278,3 +270,8 @@ def herald_metrics(ja, filt=None):
         herald_rate=rate,
         spectrum=spectrum,
     )
+
+
+def herald_metrics(ja, filt=None):
+    """spectrum_metrics of one decomposition of ja, of its weights alone with no filter."""
+    return spectrum_metrics(schmidt_decompose(ja, modes=filt is not None), ja.grid, filt)

@@ -433,6 +433,45 @@ def test_analyze_takes_one_weights_only_decomposition(monkeypatch, capsys, argv)
     assert json.loads(capsys.readouterr().out)["metrics"]["herald_rate"] <= 1.0
 
 
+def test_unfiltered_schmidt_prints_the_analyze_metrics(kdp_analysis):
+    # no filter has one formula, on the weights: schmidt reads its BJSA export on
+    # the low-rank path, where the weights are analyze's bit for bit
+    doc, out = kdp_analysis
+    report = parse_report(run_cli("schmidt", "--in", str(out / "jsa.bjsa")))
+    for key in ("K", "S_bits", "purity", "herald_rate"):
+        assert report[key] == doc["metrics"][key], key
+
+
+@pytest.mark.parametrize(
+    "extra, heralded",
+    [
+        ([], 0),
+        (["--modes-csv", "modes.csv"], 0),
+        (["--filter-kind", "gaussian", "--filter-center-nm", "830", "--filter-width-nm", "3"], 1),
+    ],
+    ids=["unfiltered", "unfiltered-modes-csv", "gaussian"],
+)
+def test_schmidt_takes_one_decomposition_with_modes(
+    monkeypatch, capsys, tmp_path, kdp_analysis, extra, heralded
+):
+    # the printed lambdas come from a decomposition with modes whether or not
+    # --modes-csv is given; only a filter reads them through heralded_state
+    calls = []
+    for module, name in ((cli, "schmidt_decompose"), (bp.schmidt, "schmidt_decompose"),
+                         (bp.schmidt, "heralded_state")):
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, kwargs.get("modes", True)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+    assert cli.main(["schmidt", "--in", str(kdp_analysis[1] / "jsa.bjsa"), *extra]) == 0
+    capsys.readouterr()
+    assert calls == [("schmidt_decompose", True)] + [("heralded_state", True)] * heralded
+
+
 @pytest.mark.parametrize("chirp, code", [("1e150", 0), ("1e160", 3), ("1e300", 3)])
 def test_huge_pump_chirp_fails_with_a_typed_error(chirp, code):
     proc = run_cli(*ANALYZE_KDP, "--grid-n", "64", "--pump-chirp-ps2", chirp)

@@ -245,3 +245,49 @@ def test_crystal_too_long_for_float_range_exits_quietly(command, code, error, me
     doc = assert_contract([command, "--material", "KDP", "--lambda-nm", "830",
                            "--length-mm", "1e300", "--pump-fwhm-nm", "5"], expected=(code,))
     assert doc["error"] == error and message in doc["message"]
+
+
+@pytest.mark.parametrize("kind, center_nm", [
+    ("gaussian", "1e300"), ("tophat", "1e170"), ("gaussian", "1e-300"), ("tophat", "1e-170"),
+])
+def test_filter_center_beyond_float_range_exits_2(exports, kind, center_nm):
+    """The square of the filter center in um overflows, or underflows to 0, in
+    domega_from_dlambda: it used to end in an OverflowError or ZeroDivisionError
+    traceback (exit 1)."""
+    doc = assert_contract(["schmidt", "--in", str(exports[0]), "--filter-kind", kind,
+                           "--filter-center-nm", center_nm, "--filter-width-nm", "1"],
+                          expected=(2,))
+    assert doc["error"] == "ConfigError" and "float range" in doc["message"]
+
+
+@pytest.mark.parametrize("center_nm, width_nm, code", [("830", "1e-200", 0), ("1e150", "1", 2)])
+def test_gaussian_filter_square_beyond_float_range_is_quiet(exports, center_nm, width_nm, code):
+    """Far outside a Gaussian filter's band ((omega - center) / width)^2 overflows
+    and the transmission is 0: it used to print a RuntimeWarning first. A band
+    narrower than the grid step passes the centre bin alone, a pure state; a band
+    far from the grid passes nothing."""
+    doc = assert_contract(["schmidt", "--in", str(exports[0]), "--filter-kind", "gaussian",
+                           "--filter-center-nm", center_nm, "--filter-width-nm", width_nm],
+                          expected=(code,))
+    if code == 0:
+        assert doc["purity"] == pytest.approx(1.0, abs=1e-12) and 0.0 < doc["herald_rate"] < 1.0
+    else:
+        assert doc["error"] == "ZeroHeraldRate"
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("analyze --material KDP --lambda-nm 830 --length-mm 20 --pump-fwhm-nm 5 --grid-n 64 "
+     "--span-factor 1e300", 2),
+    ("design-assembly --crystal BBO --spacer CALCITE --lambda-nm 800 --n-crystals 3 "
+     "--m 100000000000000000000 --grid-n 64", 0),
+], ids=["analyze-span-factor", "design-assembly-m"])
+def test_detunings_beyond_float_range_exit_quietly(tmp_path, argv, code):
+    """A 1e300 span factor squares the pump detunings beyond float range in
+    jsa.pump_envelope, before the wavenumbers refuse the grid; a 1e20 spacer
+    quantum puts the interference phase's multiple of pi beyond int64 in
+    upsilon. Both used to print RuntimeWarnings (the second before a report)."""
+    doc = assert_contract([*argv.split(), "--out-dir", str(tmp_path)], expected=(code,))
+    if code == 2:
+        assert doc["error"] == "OutOfRange"
+    else:
+        assert len(doc["exports"]) == 2

@@ -204,7 +204,8 @@ def test_grating_costs_no_dispersion_calls(db, monkeypatch, source):
         crystal = bp.qpm_matched_crystal(db["KTP"], 1.566, 20000.0)
     else:
         crystal = bp.angle_matched_crystal(db["KDP"], 0.83, 20000.0)
-    pump = PumpConfig(2.0 * crystal.omega0, bp.sigma_from_fwhm_nm(1.0, crystal.lambda0_um() / 2))
+    sigma = bp.sigma_from_fwhm_nm(1.0, bp.lambda_from_omega(crystal.omega0) / 2)
+    pump = PumpConfig(2.0 * crystal.omega0, sigma)
     grid = bp.default_grid(pump, bp.taylor_coefficients(crystal), n=256)
     wavenumber, calls = bp.materials.wavenumber, []
 

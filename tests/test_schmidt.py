@@ -19,6 +19,7 @@ from biphoton.schmidt import (
     heralded_state,
     purity,
     schmidt_decompose,
+    spectrum_metrics,
 )
 
 from conftest import correlated_gaussian
@@ -26,9 +27,10 @@ from conftest import correlated_gaussian
 
 def dense_heralded_state(ja, filt):
     """Reference path: rho = A W A^H on the full n x n grid, and the herald rate
-    tr(A W A^H) / tr(A A^H), i.e. per unfiltered pair."""
+    tr(A W A^H) / tr(A A^H), i.e. per unfiltered pair; W = I with no filter (None)."""
     A = ja.values * ja.grid.spacing
-    weights = filt.amplitude_transmission(ja.grid.omega0 + ja.grid.axis()) ** 2
+    omega = ja.grid.omega0 + ja.grid.axis()
+    weights = np.ones(ja.grid.n) if filt is None else filt.amplitude_transmission(omega) ** 2
     rho_raw = (A * weights[None, :]) @ A.conj().T
     rate = float(np.trace(rho_raw).real)
     rho = rho_raw / rate
@@ -147,7 +149,7 @@ def test_unfiltered_heralded_state_matches_schmidt_spectrum():
     # unfiltered herald rate is the full pair rate
     assert abs(rate - 1.0) < 1e-9
     # the dense reference carries the same spectrum on the full grid
-    dense, _ = dense_heralded_state(ja, SpectralFilter.unit())
+    dense, _ = dense_heralded_state(ja, None)
     evals = np.linalg.eigvalsh(dense)[::-1]
     assert np.max(np.abs(evals[: spec.lambdas.size] - spec.lambdas)) < 1e-8
 
@@ -183,8 +185,11 @@ def test_tophat_outside_grid_raises():
 
 
 def test_filter_validation():
-    with pytest.raises(bp.ConfigError):
-        SpectralFilter(kind="boxcar")
+    # no filter is None: "unit" is not a kind
+    for kind in ("boxcar", "unit"):
+        with pytest.raises(bp.ConfigError):
+            SpectralFilter(kind=kind, center=1.0, width=1.0)
+    assert not hasattr(SpectralFilter, "unit")
     with pytest.raises(bp.ConfigError):
         SpectralFilter.gaussian(center=0.0, fwhm=0.0)
     with pytest.raises(bp.ConfigError):
@@ -192,8 +197,6 @@ def test_filter_validation():
     for center, width in ((1.0, np.nan), (1.0, np.inf), (np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0)):
         with pytest.raises(bp.ConfigError):
             SpectralFilter.gaussian(center=center, fwhm=width)
-    flat = SpectralFilter.unit()
-    assert np.all(flat.amplitude_transmission(np.linspace(-5, 5, 7)) == 1.0)
 
 
 def test_idler_filter_raises_kdp_purity(kdp_jsa):
@@ -213,7 +216,7 @@ def test_herald_metrics_consistency(kdp_jsa):
     assert np.array_equal(m.spectrum.lambdas, spec.lambdas)
     assert abs(m.cooperativity_K - cooperativity(spec)) < 1e-12
     assert abs(m.entropy_S - entropy(spec)) < 1e-12
-    ref, _ = dense_heralded_state(kdp_jsa, SpectralFilter.unit())
+    ref, _ = dense_heralded_state(kdp_jsa, None)
     assert abs(m.purity - purity(ref)) < 1e-10
     assert m.entropy_S > 0.0
 
@@ -244,15 +247,20 @@ def herald_sources(db, kdp_source, kdp_jsa, stack_design):
 
 
 def clipping_filter(grid, kind):
-    """Unit, or a Gaussian or top-hat band that clips the source, so purity
-    and rate both move."""
-    if kind == "unit":
-        return SpectralFilter.unit()
+    """No filter (kind None), or a Gaussian or top-hat band that clips the
+    source, so purity and rate both move."""
+    if kind is None:
+        return None
     width = {"gaussian": 0.3, "tophat": 0.4}[kind] * grid.half_span
     return SpectralFilter(kind, grid.omega0, width)
 
 
-@pytest.mark.parametrize("kind", ["unit", "gaussian", "tophat"])
+def kind_id(value):
+    """Test id "unit" for no filter, the CLI's --filter-kind name for it."""
+    return "unit" if value is None else None
+
+
+@pytest.mark.parametrize("kind", [None, "gaussian", "tophat"], ids=kind_id)
 @pytest.mark.parametrize("source", ["kdp", "ridge", "bbo", "mehler"])
 def test_herald_metrics_match_dense_reference(herald_sources, source, kind):
     ja = herald_sources[source]
@@ -266,15 +274,16 @@ def test_herald_metrics_match_dense_reference(herald_sources, source, kind):
 @pytest.mark.parametrize(
     "source, kind, path",
     [
-        ("kdp", "unit", "low-rank"),
+        ("kdp", None, "low-rank"),
         ("kdp", "gaussian", "low-rank"),
         ("kdp", "tophat", "low-rank"),
-        ("kdp1024", "unit", "low-rank"),
+        ("kdp1024", None, "low-rank"),
         # the hard edges of the isolating mask leave 121 weights above the cut
-        ("ridge", "unit", "dense"),
-        ("bbo", "unit", "low-rank"),
-        ("mehler", "unit", "low-rank"),
+        ("ridge", None, "dense"),
+        ("bbo", None, "low-rank"),
+        ("mehler", None, "low-rank"),
     ],
+    ids=kind_id,
 )
 def test_spectrum_matches_dense_svd(herald_sources, paths, source, kind, path):
     ja = herald_sources[source]
@@ -382,12 +391,22 @@ def test_weights_only_spectrum_matches_the_one_with_modes(weights_only_sources, 
 
 @pytest.mark.parametrize("source", WEIGHTS_ONLY_PATHS)
 def test_unfiltered_herald_metrics_equal_the_unit_filter(weights_only_sources, source):
+    # no filter (None) reads the weights alone; a flat |T|^2 = 1 through
+    # heralded_state reads the idler modes of a spectrum that has them
     ja = weights_only_sources[source]
-    plain, unit = herald_metrics(ja), herald_metrics(ja, SpectralFilter.unit())
-    assert plain.spectrum.idler_modes is None and unit.spectrum.idler_modes is not None
-    for key in ("purity", "cooperativity_K", "entropy_S", "herald_rate"):
-        ref = getattr(unit, key)
+    plain, full = herald_metrics(ja), schmidt_decompose(ja)
+    assert plain.spectrum.idler_modes is None
+    rho, rate = heralded_state(full, np.ones(ja.grid.n))
+    flat = {"purity": purity(rho), "herald_rate": rate,
+            "cooperativity_K": cooperativity(full), "entropy_S": entropy(full)}
+    with_modes = spectrum_metrics(full, ja.grid)
+    for key, ref in flat.items():
         assert abs(getattr(plain, key) - ref) <= 1e-12 * ref, key
+        assert abs(getattr(with_modes, key) - ref) <= 1e-12 * ref, key
+        # one formula: on the low-rank path the weights, and so the figures, are
+        # the same bit for bit with and without modes
+        if WEIGHTS_ONLY_PATHS[source] == "low-rank":
+            assert getattr(with_modes, key) == getattr(plain, key), key
 
 
 def test_repeated_weights_only_calls_are_bit_identical(chirped_kdp):
