@@ -7,24 +7,27 @@ geometric sum over periods:
 
     phi_N = exp(i (N-1) Phi / 2) sin(N Phi / 2) / sin(Phi / 2) * phi_1
 
-A single crystal is the stack with N = 1 and jsa evaluates both: a poled crystal
-keeps its grating inside D_c, and the spacer is unpoled and cut at theta = pi/2
-(materials.NONCRITICAL_THETA). Crystal and spacer share the one pair geometry of
-materials: extraordinary pump and signal, ordinary idler.
+A single crystal is the stack with N = 1; jsa evaluates both from one
+AssemblyConfig. A poled crystal keeps its grating inside D_c, and the spacer is
+unpoled and cut at theta = pi/2 (materials.NONCRITICAL_THETA). Crystal and
+spacer share the one pair geometry of materials: extraordinary pump and signal,
+ordinary idler.
 
 The spacer is chosen so that its carrier mismatch rewinds an integer number of
 2 pi turns (h = m h_min) while its group-velocity mismatch cancels the
 crystal's, which symmetrizes the central ridge and steers its slope to +1.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_UM_PS, GAMMA_SINC2, domega_from_dlambda, omega_from_lambda
 from .errors import ConfigError, NoOppositeSign, ZeroMismatch
-# upsilon lives beside the stack evaluator in jsa and is re-exported here
+# AssemblyConfig and upsilon live beside the stack evaluator in jsa and are re-exported here
 from .jsa import (
+    AssemblyConfig,
     CrystalConfig,
     FrequencyGrid,
     PumpConfig,
@@ -43,35 +46,17 @@ from .materials import (
 )
 
 
-@dataclass(frozen=True)
-class AssemblyConfig:
-    """A crystal stack: crystal config, spacer medium (None for one crystal), geometry."""
-
-    crystal: CrystalConfig
-    spacer_material: object
-    spacer_h_um: float
-    n_crystals: int
-
-    def __post_init__(self):
-        if self.n_crystals < 1:
-            raise ConfigError("n_crystals must be at least 1")
-        if not 0 <= self.spacer_h_um < np.inf:
-            raise ConfigError("spacer thickness must be nonnegative and finite")
-        if self.n_crystals > 1 and self.spacer_material is None:
-            raise ConfigError("a stack of more than one crystal needs a spacer material")
-
-
 def assembly_phasematching(cfg, nu_s, nu_i):
     """Complex N-crystal phasematching at arbitrary detunings, full dispersion."""
     vs = np.asarray(nu_s, dtype=float)
     vi = np.asarray(nu_i, dtype=float)
-    return _stack_phasematching(cfg.crystal, _waves(vs, vi, vs + vi, lambda v: v), cfg)
+    return _stack_phasematching(cfg, _waves(vs, vi, vs + vi, lambda v: v))
 
 
 def assembly_jsa_grid(pump, cfg, grid):
     """Normalized assembly joint amplitude on a square grid."""
     _check_carrier(pump, cfg.crystal, grid)
-    return _stack_on_grid(pump, cfg.crystal, grid, cfg)
+    return _stack_on_grid(pump, cfg, grid)
 
 
 def _unit_mismatch_sums(material, theta, omega0):
@@ -86,8 +71,8 @@ def quantize_spacer(spacer_material, lambda_um, m_integer):
     h_min = 2 pi / |delta_kappa0|; h = m h_min keeps every crystal's central
     peak aligned while leaving room to satisfy the h/L ratio.
     """
-    if int(m_integer) < 1:
-        raise ConfigError("m must be a positive integer")
+    if not 1 <= int(m_integer) <= sys.float_info.max:
+        raise ConfigError("m must be a positive integer within float range")
     dk0 = carrier_mismatch(spacer_material, NONCRITICAL_THETA, lambda_um)
     if abs(dk0) < 1e-9:
         raise ZeroMismatch("spacer carrier mismatch vanishes; nothing to quantize")
@@ -142,8 +127,8 @@ def design_assembly(crystal_material, spacer_material, lambda_um, n_crystals, m_
     """
     n_crystals = int(n_crystals)
     m_integer = int(m_integer)
-    if n_crystals < 1:
-        raise ConfigError("n_crystals must be at least 1")
+    if not 1 <= n_crystals <= sys.float_info.max:
+        raise ConfigError("n_crystals must be at least 1 and within float range")
     theta_c = phasematching_angle(crystal_material, lambda_um)
     w0 = omega_from_lambda(lambda_um)
     m_c, ps_c, pi_c = _unit_mismatch_sums(crystal_material, theta_c, w0)

@@ -8,7 +8,7 @@ Two evaluation models: "full_sinc" keeps the complete dispersion relation,
 "gaussian" uses the second-order Taylor expansion with sinc(x) ~ exp(-0.193 x^2).
 Both carry the forward phase exp(+i L (k_s + k_i - k_p)/2), whose expansion is
 the (i/2)(tau nu + beta nu^2) phase of the Gaussian model.
-A single crystal is the crystal/spacer stack with N = 1: one evaluator gives both.
+A single crystal is the stack AssemblyConfig(crystal, None, 0.0, 1): one evaluator takes both.
 """
 
 from dataclasses import dataclass
@@ -275,13 +275,30 @@ def upsilon(n_crystals, x):
     return out if out.ndim else float(out)
 
 
-def _stack_phasematching(crystal, waves, stack=None, envelope=1.0):
-    """Complex phasematching of a crystal stack; no stack is one crystal.
+@dataclass(frozen=True)
+class AssemblyConfig:
+    """A crystal stack: crystal config, spacer medium (None for one crystal), geometry."""
+
+    crystal: CrystalConfig
+    spacer_material: object
+    spacer_h_um: float
+    n_crystals: int
+
+    def __post_init__(self):
+        if self.n_crystals < 1:
+            raise ConfigError("n_crystals must be at least 1")
+        if not 0 <= self.spacer_h_um < np.inf:
+            raise ConfigError("spacer thickness must be nonnegative and finite")
+        if self.n_crystals > 1 and self.spacer_material is None:
+            raise ConfigError("a stack of more than one crystal needs a spacer material")
+
+
+def _stack_phasematching(stack, waves, envelope=1.0):
+    """Complex phasematching of a crystal stack (an AssemblyConfig).
 
     waves(material, theta, omega0, grating) gives (k_s, k_i, k_p - grating,
     lift): _waves on a grid, with the Hankel view as lift, or at points, with
-    the identity. stack carries spacer_material, spacer_h_um and n_crystals (an
-    AssemblyConfig). A poled crystal keeps its grating; N crystals multiply its
+    the identity. A poled crystal keeps its grating; N crystals multiply its
     sinc(x) e^{ix}, x = L D_c / 2, by the exact geometric sum over periods of
     the pair phase Phi = L D_c + h D_sp, the spacer unpoled and cut at
     NONCRITICAL_THETA, with D = k_s + k_i - k_p in each medium.
@@ -294,8 +311,8 @@ def _stack_phasematching(crystal, waves, stack=None, envelope=1.0):
     from those factors: at the carrier x is about 1e-9, and the 1e-11 rad
     rounding of L k ~ 1e5 rad would leave relative errors up to 1e-2.
     """
+    crystal, n = stack.crystal, stack.n_crystals
     w0, length = crystal.omega0, crystal.length_um
-    n = 1 if stack is None else stack.n_crystals
     ks, ki, kp, lift = waves(crystal.material, crystal.theta, w0, crystal.grating)
     dc = ks + ki - lift(kp)
     amp = _sinc(0.5 * length * dc)
@@ -342,7 +359,7 @@ def _check_carrier(pump, crystal, grid):
         raise ConfigError(f"grid carrier {grid.omega0!r} rad/ps is not the crystal's {w0!r} rad/ps")
 
 
-def _stack_on_grid(pump, crystal, grid, stack=None):
+def _stack_on_grid(pump, stack, grid):
     """Normalized full-sinc amplitude of a crystal stack on a square grid.
 
     The pump wave and the pump envelope depend on nu_s + nu_i alone: both are
@@ -353,7 +370,7 @@ def _stack_on_grid(pump, crystal, grid, stack=None):
     nu = grid.axis()
     nu_sum = (np.arange(2 * n - 1) - n) * grid.spacing
     waves = _waves(nu[:, None], nu[None, :], nu_sum, lambda v: sliding_window_view(v, n))
-    values = _stack_phasematching(crystal, waves, stack, pump_envelope(pump, nu_sum))
+    values = _stack_phasematching(stack, waves, pump_envelope(pump, nu_sum))
     return _normalized(grid, values)
 
 
@@ -372,7 +389,7 @@ def jsa_grid(pump, crystal, grid=None, model="full_sinc"):
             f"half_span {grid.half_span:.3g} cannot resolve zero-detuning slice width {narrow:.3g}"
         )
     if model == "full_sinc":
-        return _stack_on_grid(pump, crystal, grid)
+        return _stack_on_grid(pump, AssemblyConfig(crystal, None, 0.0, 1), grid)
     if model != "gaussian":
         raise ConfigError(f"unknown model {model!r}")
     nu = grid.axis()

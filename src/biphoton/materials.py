@@ -10,6 +10,9 @@ extraordinary pump (PUMP_POL) gives an extraordinary signal (SIGNAL_POL) and an
 ordinary idler (IDLER_POL). Poled crystals and spacers are cut at
 NONCRITICAL_THETA = pi/2.
 
+Every index, group delay and mismatch here is formed from one read of the
+Sellmeier data, _principal_reads: n^2 and its two x-derivatives, x = lambda^2.
+
 The carrier phase mismatch reported everywhere is delta_k = k_p - k_s - k_i.
 """
 
@@ -45,13 +48,6 @@ class Sellmeier:
     c0: float
     terms: tuple
     lambda_sq: float = 0.0
-
-    def n_squared(self, lambda_um):
-        L2 = np.asarray(lambda_um, dtype=float) ** 2
-        acc = self.c0 + self.lambda_sq * L2
-        for a, b, d in self.terms:
-            acc = acc + (a + b * L2) / (L2 - d)
-        return acc
 
     def x_derivatives(self, x):
         """(n^2, d n^2/dx, d^2 n^2/dx^2) at x = lambda^2 (um^2)."""
@@ -148,10 +144,12 @@ def _check_range(model, lambda_um):
         )
 
 
-def _principal_squares(model, lambda_um):
-    """(n_o^2, n_e^2) at vacuum wavelength lambda_um (um)."""
+def _principal_reads(model, lambda_um):
+    """x = lambda^2 and the o- and e-ray Sellmeier.x_derivatives at vacuum
+    wavelength lambda_um (um), after the one range check."""
     _check_range(model, lambda_um)
-    return model.sellmeier_o.n_squared(lambda_um), model.sellmeier_e.n_squared(lambda_um)
+    x = np.asarray(lambda_um, dtype=float) ** 2
+    return x, model.sellmeier_o.x_derivatives(x), model.sellmeier_e.x_derivatives(x)
 
 
 def _mixed_index(no2, ne2, s2):
@@ -161,7 +159,7 @@ def _mixed_index(no2, ne2, s2):
 
 def refractive_index(model, ray, lambda_um):
     """Index seen by the ray at vacuum wavelength lambda_um (um)."""
-    no2, ne2 = _principal_squares(model, lambda_um)
+    _, (no2, *_), (ne2, *_) = _principal_reads(model, lambda_um)
     if ray.polarization is Pol.ORDINARY:
         return np.sqrt(no2)
     return _mixed_index(no2, ne2, np.sin(ray.theta) ** 2)
@@ -181,10 +179,7 @@ def _k_derivatives(model, omega, *rays):
     x = lambda^2. With dx/domega = -2x/omega, k' = (n - 2x n_x)/c and
     k'' = 2x (n_x + 2x n_xx)/(c omega).
     """
-    lam = lambda_from_omega(np.asarray(omega, dtype=float))
-    _check_range(model, lam)
-    x = lam**2
-    reads = (model.sellmeier_o.x_derivatives(x), model.sellmeier_e.x_derivatives(x))
+    x, *reads = _principal_reads(model, lambda_from_omega(np.asarray(omega, dtype=float)))
     for ray in rays:
         s2 = 0.0 if ray.polarization is Pol.ORDINARY else np.sin(ray.theta) ** 2
         u = ux = uxx = 0.0
@@ -208,7 +203,7 @@ def gvd(model, ray, omega):
 def walkoff_angle(model, theta, lambda_um):
     """Poynting walkoff magnitude of the extraordinary ray, in degrees."""
     _check_theta(theta)
-    no2, ne2 = _principal_squares(model, lambda_um)
+    _, (no2, *_), (ne2, *_) = _principal_reads(model, lambda_um)
     neff = _mixed_index(no2, ne2, np.sin(theta) ** 2)
     rho = np.arctan(0.5 * neff**2 * np.abs(1.0 / ne2 - 1.0 / no2) * np.abs(np.sin(2.0 * theta)))
     return np.degrees(rho)
@@ -277,8 +272,8 @@ def _carrier_parts(model, lam):
     """What delta_k reads that is independent of theta: the principal indices, read once."""
     w_s = omega_from_lambda(lam)
     w_p = 2 * w_s
-    no2_s, ne2_s = _principal_squares(model, lambda_from_omega(w_s))
-    no2_p, ne2_p = _principal_squares(model, lambda_from_omega(w_p))
+    _, (no2_s, *_), (ne2_s, *_) = _principal_reads(model, lambda_from_omega(w_s))
+    _, (no2_p, *_), (ne2_p, *_) = _principal_reads(model, lambda_from_omega(w_p))
     return w_s, no2_s, ne2_s, np.sqrt(no2_s) * w_s / C_UM_PS, w_p, no2_p, ne2_p
 
 

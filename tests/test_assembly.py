@@ -122,7 +122,7 @@ def test_full_turn_per_period_gives_plus_n(db):
     for n in (2, 3, 10):
         cfg = AssemblyConfig(crystal, db["CALCITE"], 2.0 * np.pi, n)
         assert np.allclose(
-            _stack_phasematching(crystal, waves, cfg), float(n), rtol=1e-12, atol=1e-12
+            _stack_phasematching(cfg, waves), float(n), rtol=1e-12, atol=1e-12
         )
 
 

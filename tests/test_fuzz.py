@@ -291,3 +291,145 @@ def test_detunings_beyond_float_range_exit_quietly(tmp_path, argv, code):
         assert doc["error"] == "OutOfRange"
     else:
         assert len(doc["exports"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--n-crystals", "--m"])
+def test_stack_count_beyond_float_range_exits_2(flag):
+    """A 400-digit --n-crystals or --m is an int that no float holds: the ridge
+    width N |T_minus| or the spacer thickness m h_min used to end in an
+    OverflowError traceback (exit 1)."""
+    argv = {"--crystal": "BBO", "--spacer": "CALCITE", "--lambda-nm": "800",
+            "--n-crystals": "10", "--m": "10", flag: "1" * 400}
+    doc = assert_contract(["design-assembly", *(w for kv in argv.items() for w in kv)],
+                          expected=(2,))
+    assert doc["error"] == "ConfigError" and "float range" in doc["message"]
+
+
+# ------------------------------------------------------------- flag sweep
+
+#: seed and call budget of the flag sweep; CI runs flag_sweep for seeds 1-10 too
+FLAG_SEED, FLAG_CALLS = 20261020, 200
+#: grid sizes the sweep may ask for: larger grids cost time and memory, not coverage
+GRID_NS = ("32", "64", "128", "256")
+#: a valid command line of each subcommand, which the sweep mutates; {tmp} is its directory
+BASE_ARGV = {
+    "materials": "--material BBO --ray e --theta-deg 29.18 --lambda-nm 800",
+    "analyze": "--material KDP --lambda-nm 830 --length-mm 20 --pump-fwhm-nm 5 --grid-n 64",
+    "schmidt": "--in {tmp}/jsa.bjsa",
+    "design-gvm": "--material KTP --scheme qpm",
+    "design-asymmetric": "--material KDP --lambda-nm 830 --length-mm 20 --pump-fwhm-nm 5",
+    "design-assembly": "--crystal BBO --spacer CALCITE --lambda-nm 800 --n-crystals 10 --m 10 "
+                       "--grid-n 64",
+    "paper-repro": "--out-dir {tmp}/repro",
+}
+#: valid values of flags whose BASE_ARGV value alone would leave their range unswept
+VALID = {
+    "--material": ("KDP", "BBO", "KTP", "CALCITE", "kdp"), "--lambda-nm": ("830", "1566", "400"),
+    "--length-mm": ("20", "2", "1e-3"), "--pump-fwhm-nm": ("5", "1.5", "0.01"),
+    "--theta-deg": ("0", "41.5", "90"), "--pump-chirp-ps2": ("0", "0.015", "-0.2"),
+    "--span-factor": ("4", "0.5", "20"), "--filter-center-nm": ("830", "825"),
+    "--filter-width-nm": ("3", "0.5"), "--window-lo-um": ("1.3", "0.6"),
+    "--window-hi-um": ("2.0", "1.6"), "--n-crystals": ("1", "3", "30"), "--m": ("1", "5"),
+    "--max-modes": ("1", "4"), "--n-modes": ("1", "8"), "--grid-n": GRID_NS,
+}
+#: values every number flag is also given: boundaries, far ends of float range, wrong types
+BOUNDARY = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "5e-324", "1" + "0" * 300)
+WRONG_TYPE = ("abc", "", "1,5", "0x10", "[1]", "None", "1" * 400)
+
+
+def _path_values(option, tmp):
+    """Paths a file flag is given: all inside tmp, so nothing is written elsewhere."""
+    if option == "--in":
+        return (f"{tmp}/jsa.bjsa", f"{tmp}/jsa.csv", f"{tmp}/jsi.csv", f"{tmp}/missing.bjsa", tmp,
+                f"{tmp}/good.json")
+    return (f"{tmp}/out", f"{tmp}/jsa.bjsa/under_a_file", tmp, f"{tmp}/out/modes.csv")
+
+
+def _flag_value(action, rng, tmp):
+    """A value for one flag: valid, a boundary or a wrong type. --grid-n stays at
+    most 256 and no value asks for a large allocation."""
+    option = action.option_strings[-1]
+    if option in ("--in", "--out-dir", "--modes-csv"):
+        pool = _path_values(option, tmp)
+    elif action.choices:
+        pool = (*action.choices, "ANGLE", "x", "")
+    elif option in ("--material", "--crystal", "--spacer"):
+        pool = (*VALID["--material"], "UNOBTAINIUM", "")
+    elif option in VALID and rng.random() < 0.5:
+        pool = VALID[option]
+    else:
+        pool = (*BOUNDARY, *WRONG_TYPE)
+    value = pool[rng.integers(len(pool))]
+    if option == "--grid-n" and value.lstrip("-").isdigit() and int(value) > 256:
+        value = GRID_NS[-1]
+    return value
+
+
+def _config_file(flags, rng, tmp):
+    """A --config file holding flags, or one of the broken files the parser refuses."""
+    path = Path(tmp) / "flags.json"
+    kind = rng.integers(10)
+    if kind == 0:
+        path.write_text("{not json")
+    elif kind == 1:
+        path.write_bytes(b"\xff\xfe")
+    elif kind == 2:
+        path.write_text(json.dumps([*flags]))
+    elif kind == 3:
+        path.write_text(json.dumps({"grid-n": [64], "material": None, "m": True}))
+    elif kind == 4:
+        return f"{tmp}/missing.json"
+    else:
+        cfg = {}
+        for option, value in flags.items():
+            try:  # a number as a JSON number where it reads as one
+                number = json.loads(value)
+            except ValueError:
+                number = None
+            cfg[option[2:]] = number if isinstance(number, (int, float)) else value
+        path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def flag_sweep(seed, tmp):
+    """FLAG_CALLS seeded command lines through assert_contract, each a subcommand's
+    BASE_ARGV with one to three flags given drawn values or dropped, some of them
+    moved into a --config file; paper-repro runs at most once. tmp is a directory
+    that the sweep fills with the files it reads and writes. A broken contract
+    raises AssertionError naming the seed and the command line.
+
+    -h/--help is never drawn: argparse prints usage and exits 0 by design, which
+    is not a report."""
+    rng = np.random.default_rng(seed)
+    tmp = str(tmp)
+    assert_contract(["analyze", *BASE_ARGV["analyze"].split(), "--out-dir", tmp], expected=(0,))
+    Path(tmp, "good.json").write_text(json.dumps({"lambda-nm": 830}))
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    commands = sorted(subparsers.choices)
+    for _ in range(FLAG_CALLS):
+        command = commands[rng.integers(len(commands))]
+        if command == "paper-repro":
+            commands.remove(command)
+        actions = [a for a in subparsers.choices[command]._actions
+                   if a.option_strings and a.dest not in ("help", "config")]
+        flags = dict(zip(*[iter(BASE_ARGV[command].format(tmp=tmp).split())] * 2))
+        for j in rng.choice(len(actions), size=min(len(actions), rng.integers(1, 4)), replace=False):
+            option = actions[j].option_strings[-1]
+            if rng.random() < 0.15:
+                flags.pop(option, None)
+            else:
+                flags[option] = _flag_value(actions[j], rng, tmp)
+        argv = [command]
+        if rng.random() < 0.3:
+            moved = {k: flags.pop(k) for k in list(flags) if rng.random() < 0.5}
+            argv += ["--config", _config_file(moved, rng, tmp)]
+        for option, value in flags.items():
+            argv += [f"{option}={value}"] if rng.random() < 0.5 else [option, value]
+        try:
+            assert_contract(argv)
+        except Exception as exc:
+            raise AssertionError(f"flag sweep seed {seed}: argv {argv}") from exc
+
+
+def test_seeded_flag_sweep_keeps_the_exit_contract(tmp_path):
+    flag_sweep(FLAG_SEED, tmp_path)

@@ -46,7 +46,7 @@ def test_extraordinary_index_at_zero_angle_equals_ordinary(db):
 def test_extraordinary_index_at_ninety_is_principal(db):
     bbo = db["BBO"]
     ne = bp.refractive_index(bbo, _ray(Pol.EXTRAORDINARY, np.pi / 2), 0.8)
-    assert abs(ne - np.sqrt(bbo.sellmeier_e.n_squared(0.8))) < 1e-14
+    assert abs(ne - np.sqrt(bbo.sellmeier_e.x_derivatives(0.64)[0])) < 1e-14
 
 
 def test_angle_tuned_index_monotone_for_negative_uniaxial(db):
@@ -217,22 +217,29 @@ def test_phasematching_angle_is_bit_identical_to_a_carrier_mismatch_solve(db):
     assert nan_lanes > 0
 
 
-@pytest.mark.parametrize("material, lam", [("KDP", 0.83), ("BBO", 0.8), ("KTP", 1.5)])
-def test_angle_solve_reads_the_dispersion_once(monkeypatch, db, material, lam):
-    # n_o^2 and n_e^2 at the pair and at the pump wavelength: the scan, the root
-    # iterations and the residual check at the root all reuse these four reads
-    real, calls = Sellmeier.n_squared, []
+@pytest.fixture
+def reads(monkeypatch):
+    """The Sellmeier.x_derivatives calls made from here on, the only evaluator
+    of the dispersion data."""
+    real, calls = Sellmeier.x_derivatives, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(Sellmeier, "n_squared", counted)
+    monkeypatch.setattr(Sellmeier, "x_derivatives", counted)
+    return calls
+
+
+@pytest.mark.parametrize("material, lam", [("KDP", 0.83), ("BBO", 0.8), ("KTP", 1.5)])
+def test_angle_solve_reads_the_dispersion_once(reads, db, material, lam):
+    # n_o^2 and n_e^2 at the pair and at the pump wavelength: the scan, the root
+    # iterations and the residual check at the root all reuse these four reads
     bp.phasematching_angle(db[material], lam)
-    assert len(calls) == 4
+    assert len(reads) == 4
 
 
-def test_group_delays_read_each_sellmeier_once_per_wavelength(monkeypatch, db):
+def test_group_delays_read_each_sellmeier_once_per_wavelength(reads, db):
     # the signal and the idler share their wavelength and so their two reads;
     # the pump at twice the frequency makes the other two; sharing them leaves
     # every value as the single-ray calls give it
@@ -241,15 +248,36 @@ def test_group_delays_read_each_sellmeier_once_per_wavelength(monkeypatch, db):
         (bp.inverse_group_velocity(bbo, _ray(pol, 0.5), w), bp.gvd(bbo, _ray(pol, 0.5), w))
         for pol, w in ((Pol.EXTRAORDINARY, 2 * w0), (Pol.EXTRAORDINARY, w0), (Pol.ORDINARY, w0))
     )
-    real, calls = Sellmeier.x_derivatives, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(Sellmeier, "x_derivatives", counted)
+    reads.clear()
     assert bp.materials.group_delays(bbo, 0.5, w0) == expect
-    assert len(calls) == 4
+    assert len(reads) == 4
+
+
+E_RAY, W_800 = RaySpec(Pol.EXTRAORDINARY, 0.5), bp.omega_from_lambda(0.8)
+#: (materials function, its arguments after the model, Sellmeier reads) at 800 nm
+DISPERSION_CALLS = [
+    ("refractive_index", (E_RAY, 0.8), 2),
+    ("wavenumber", (E_RAY, W_800), 2),
+    ("walkoff_angle", (0.5, 0.8), 2),
+    ("inverse_group_velocity", (E_RAY, W_800), 2),
+    ("gvd", (E_RAY, W_800), 2),
+    ("carrier_mismatch", (0.5, 0.8), 4),
+    ("phasematching_angle", (0.8,), 4),
+    ("group_delays", (0.5, W_800), 4),
+]
+
+
+@pytest.mark.parametrize("name, args, n_reads", DISPERSION_CALLS,
+                         ids=[call[0] for call in DISPERSION_CALLS])
+def test_dispersion_calls_read_both_sellmeiers_once_per_wavelength(reads, db, name, args, n_reads):
+    # every index, wavenumber, walk-off, group delay and mismatch is formed from
+    # the one read of the Sellmeier data: two reads per wavelength it needs
+    getattr(bp.materials, name)(db["BBO"], *args)
+    assert len(reads) == n_reads
+
+
+def test_sellmeier_has_one_evaluator():
+    assert not hasattr(Sellmeier, "n_squared")
 
 
 def _solve(f, a, b):
