@@ -140,6 +140,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}; {' '.join(self.format_usage().split())}")
 
 
+#: largest --grid-n: a request peaks at about GRID_BYTES_PER_POINT bytes per grid
+#: point (306 MiB for analyze at n = 2048), so about 4.4 GiB at the cap
+MAX_GRID_N, GRID_BYTES_PER_POINT = 8192, 70
+
+
+def _grid_n(args):
+    """--grid-n, refused above MAX_GRID_N before any n x n array is allocated."""
+    n = args.grid_n
+    if n > MAX_GRID_N:
+        gib = GRID_BYTES_PER_POINT * n * n // 2**30
+        raise ConfigError(f"--grid-n {n} is above the cap of {MAX_GRID_N}: at about "
+                          f"{GRID_BYTES_PER_POINT} bytes per grid point it needs about {gib} GiB")
+    return n
+
+
 def _require(args, *names):
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
@@ -298,7 +313,7 @@ def _export_amplitude(ja, out, stem):
 
 def _cmd_analyze(args):
     crystal, pump, coeffs = matched_source(*_source_request(args), args.pump_chirp_ps2)
-    grid = default_grid(pump, coeffs, n=args.grid_n, span_factor=args.span_factor)
+    grid = default_grid(pump, coeffs, n=_grid_n(args), span_factor=args.span_factor)
     ja = jsa_grid(pump, crystal, grid, model=args.model)
     metrics = herald_metrics(ja)
     jti = joint_temporal_intensity(ja)
@@ -439,9 +454,10 @@ def _cmd_design_assembly(args):
         "design": asdict(design),
     }
     if args.out_dir:
+        n = _grid_n(args)
         out = _out_dir(args.out_dir)
         cfg = assembly_config_from_design(design, crystal_material, spacer_material)
-        grid = central_ridge_grid(design, n=args.grid_n)
+        grid = central_ridge_grid(design, n=n)
         ja = assembly_jsa_grid(design.pump, cfg, grid)
         report["exports"] = sorted(map(str, _export_amplitude(ja, out, "assembly_jsa")))
     return report

@@ -305,6 +305,30 @@ def test_stack_count_beyond_float_range_exits_2(flag):
     assert doc["error"] == "ConfigError" and "float range" in doc["message"]
 
 
+
+@pytest.mark.parametrize("argv", [
+    "analyze --material KDP --lambda-nm 830 --length-mm 20 --pump-fwhm-nm 5 --grid-n 1048576",
+    "design-assembly --crystal BBO --spacer CALCITE --lambda-nm 800 --n-crystals 10 --m 10 "
+    "--grid-n 16384 --out-dir {tmp}/out",
+], ids=["analyze", "design-assembly"])
+def test_grid_n_above_the_cap_exits_2_before_allocating(monkeypatch, tmp_path, argv):
+    """--grid-n had no upper bound: analyze --grid-n 1048576 reached its first
+    n x n array (8 TiB) and raised MemoryError out of main (exit 1). The cap is
+    checked before a grid or its export directory is made; the grid builders here
+    raise if reached."""
+    class GridBuilt(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise GridBuilt
+
+    monkeypatch.setattr(cli, "default_grid", refuse)
+    monkeypatch.setattr(cli, "central_ridge_grid", refuse)
+    doc = assert_contract(argv.format(tmp=tmp_path).split(), expected=(2,))
+    assert doc["error"] == "ConfigError"
+    assert f"cap of {cli.MAX_GRID_N}" in doc["message"] and "GiB" in doc["message"]
+    assert not (tmp_path / "out").exists()
+
 # ------------------------------------------------------------- flag sweep
 
 #: seed and call budget of the flag sweep; CI runs flag_sweep for seeds 1-10 too

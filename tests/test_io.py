@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import struct
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +277,99 @@ def test_special_cells_match_reference_writer(tmp_path):
     path = tmp_path / "special_modes.csv"
     io.write_table(path, "c", "x,a,b", [io.axis_rows(axis, ja.values.real[:, :2])])
     _assert_matches_reference(path, [np.column_stack([axis, ja.values.real[:, :2]])])
+
+
+# ------------------------------------------------------------ %.17g cells
+
+#: seed and size of the tier-1 formatter comparison; CI runs seeds 1-10 at 10^6 values
+FORMAT_SEED, FORMAT_VALUES = 20261022, 300_000
+
+#: (value, "%.17g" % value) for the cases the fast path must get exactly right
+PINNED_CELLS = [
+    (2.0**50 + 0.25, "1125899906842624.2"),  # exact 17-digit ties round half to even
+    (2.0**50 + 0.75, "1125899906842624.8"),
+    (1e-299, "9.9999999999999999e-300"),  # the double is below 10^-299
+    (1e98, "1e+98"),  # below 10^98, its 17 digits round up into the next decade
+    (-1e220, "-1e+220"),
+    (1e-5, "1.0000000000000001e-05"),
+    (1e100, "1e+100"),
+    (1e-308, "9.9999999999999991e-309"),
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (5e-324, "4.9406564584124654e-324"),
+    (-2.5e-310, "-2.5000000000000171e-310"),
+    (0.0001, "0.0001"),
+    (-0.00012345678901234567, "-0.00012345678901234567"),
+    (1e16, "10000000000000000"),
+    (1e17, "1e+17"),
+    (0.1, "0.10000000000000001"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+]
+
+
+def random_bit_patterns(seed, count):
+    """count float64 from seeded random 64-bit patterns: every exponent equally
+    likely, so subnormals, NaNs and infinities come up among them."""
+    return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64).view(float)
+
+
+def near_ties():
+    """Doubles x = m 2^e in [10^(q + 16), 10^(q + 17)) with x mod 10^q equal to
+    10^q / 2 + 2^(q - 1) t for a small odd t: x / 10^q lies t / (2 5^q) from a
+    17-digit decimal tie, closer than the formatter's double-double product resolves,
+    so only the exact formatting of such lanes gets their last digit right."""
+    ties = []
+    for q in range(22, 60):
+        five = 5**q
+        lo_x, hi_x = 10 ** (q + 16), 10 ** (q + 17)
+        for e in range(lo_x.bit_length() - 54, hi_x.bit_length() - 52):
+            lo, hi = max(2**52, -(-lo_x // 2**e)), min(2**53, -(-hi_x // 2**e))
+            for t in (-3, -1, 1, 3):
+                m = t * pow(2, q - 1 - e, five) % five  # m 2^(e - q + 1) = t mod 5^q
+                m += max(0, -(-(lo - m) // five)) * five
+                if m < hi:
+                    ties.append(math.ldexp(m, e))
+    return ties
+
+
+def format_disagreement(values):
+    """(value, cell, "%.17g" % value) for the first value whose CSV cell differs
+    from Python's, or None when every cell agrees."""
+    cells = io.axis_rows(values, np.empty((values.size, 0))).split(b"\n")
+    assert len(cells) == values.size + 1 and cells[-1] == b""
+    for v, cell in zip(values.tolist(), cells):
+        if cell != b"%.17g" % v:
+            return v, cell, b"%.17g" % v
+    return None
+
+
+def test_cells_are_percent_17g():
+    """Every CSV cell is "%.17g" % value byte for byte: seeded random bit patterns,
+    every power of ten in float range with the double on either side of it (which
+    holds every exponent width), values within 1e-15 of a 17-digit tie, and the
+    pinned ties, decade round-ups and specials."""
+    assert Fraction(1e98) < 10**98 and Fraction(1e-299) < Fraction(1, 10**299)
+    values, texts = zip(*PINNED_CELLS)
+    assert ["%.17g" % v for v in values] == list(texts)
+    ties = near_ties()
+    for x in ties:
+        gap = abs(Fraction(x) / 10 ** (math.floor(math.log10(x)) - 16) % 1 - Fraction(1, 2))
+        assert 0 < gap < 1e-15
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), ties])
+    values = np.concatenate([random_bit_patterns(FORMAT_SEED, FORMAT_VALUES), near, -near, values])
+    assert format_disagreement(values) is None
+
+
+def test_importing_the_package_builds_no_formatter_table():
+    """The formatter's tables are built on the first CSV write, so importing the
+    package, and with it a cold CLI start, costs what it did without them."""
+    code = "import biphoton, biphoton.cli; print(biphoton.io._tables.cache_info().misses)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def _rewrite_axes(path, nu_s, nu_i):
